@@ -18,6 +18,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -377,14 +378,14 @@ def enumerate_generalized_diagonals(
 
     # node: (placement, word, last edge index, cone, gates, placements chain)
     start_placement = geom.identity_isometry(backend)
-    queue = [
+    queue = deque(
         (start_placement, (), None, cone, (), (start_placement,))
         for cone in _initial_cones(table, source_vertex)
-    ]
+    )
     reflections = [geom.reflection_across(table.edge(j)) for j in range(table.n)]
 
     while queue:
-        placement, word, last_edge, cone, gates, chain = queue.pop(0)
+        placement, word, last_edge, cone, gates, chain = queue.popleft()
         # emit reachable vertex images of this copy
         for v in table.vertices:
             target = placement.apply(v)

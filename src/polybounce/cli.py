@@ -8,6 +8,7 @@ repeated runs produce byte-identical stdout and output files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analysis, geom, svg, unfolding
@@ -30,11 +31,29 @@ def format_word(symbols) -> str:
     return ",".join(symbols) if symbols else "()"
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert`` the text, then require ``ok`` of the value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0 and math.isfinite(v), "a finite number > 0")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=[geom.EXACT, geom.F64], default=geom.EXACT
     )
-    parser.add_argument("--eps", type=float, default=1e-9)
+    parser.add_argument("--eps", type=_POSITIVE_FLOAT, default=1e-9)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -215,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--start", nargs=2, required=True, metavar=("X", "Y"))
     p.add_argument("--dir", nargs=2, required=True, metavar=("DX", "DY"))
-    p.add_argument("--bounces", type=int, required=True)
-    p.add_argument("--backward", type=int, default=0, metavar="M")
+    p.add_argument("--bounces", type=_COUNT, required=True)
+    p.add_argument("--backward", type=_COUNT, default=0, metavar="M")
     _add_common(p)
     p.set_defaults(func=cmd_bounce)
 
@@ -244,16 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="sample the finite-window bounce language")
     p.add_argument("--table", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--k", type=_POSITIVE_INT, required=True)
+    p.add_argument("--budget", type=_POSITIVE_INT, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("compare", help="compare two sampled bounce languages")
     p.add_argument("--table1", required=True)
     p.add_argument("--table2", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--k", type=_POSITIVE_INT, required=True)
+    p.add_argument("--budget", type=_POSITIVE_INT, required=True)
     p.add_argument("--map", required=True, help="label bijection a=b,c=d,...")
     _add_common(p)
     p.set_defaults(func=cmd_compare)
@@ -262,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--start", nargs=2, required=True, metavar=("X", "Y"))
     p.add_argument("--dir", nargs=2, required=True, metavar=("DX", "DY"))
-    p.add_argument("--crossings", type=int, required=True)
+    p.add_argument("--crossings", type=_COUNT, required=True)
     p.add_argument("--svg")
     _add_common(p)
     p.set_defaults(func=cmd_cutting)

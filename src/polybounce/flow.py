@@ -1,5 +1,9 @@
 """Billiard flow: trajectory tracing, bounce words, padded-word utilities.
 
+A billiard is the glued polygon whose every edge is glued to itself by the
+reflection across it (Masur-Tabachnikov), so ``trace`` and the cutting
+sequences of ``surface`` share one flight loop, ``fly``.
+
 Corner policy: a trajectory meeting a vertex terminates as singular; no
 reflection rule is invented at corners.  In float mode a hit within the
 tolerance of a vertex is treated the same way, because misclassifying a
@@ -9,7 +13,7 @@ near-corner pass corrupts every later symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Type
 
 from . import geom
 from .errors import (
@@ -38,11 +42,6 @@ class RayState:
 
 
 @dataclass(frozen=True, slots=True)
-class BounceBudget:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class SingularHit:
     t: geom.Scalar
     vertex_index: int
@@ -59,12 +58,12 @@ class TrajectoryHit:
 class Trajectory:
     start: RayState
     hits: Tuple[TrajectoryHit, ...]
-    terminated_by: Union[BounceBudget, SingularHit]
+    terminated_by: Optional[SingularHit]  # None: the bounce budget ran out
     time_direction: str = FORWARD
 
     @property
     def is_singular(self) -> bool:
-        return isinstance(self.terminated_by, SingularHit)
+        return self.terminated_by is not None
 
     @property
     def table(self) -> LabeledTable:
@@ -147,31 +146,55 @@ def vertex_guard(table: LabeledTable, edge_idx: int, hit: geom.Hit) -> Optional[
     return None
 
 
-def trace(state: RayState, max_bounces: int) -> Trajectory:
-    """Deterministic forward trace for at most ``max_bounces`` reflections."""
-    if max_bounces < 0:
-        raise ValueError("max_bounces must be >= 0")
-    _check_start(state)
-    table = state.table
+def fly(
+    state: RayState,
+    steps: int,
+    check_start: Callable[[], None],
+    gluing: Sequence[Tuple[int, geom.PlanarIsometry]],
+    escape: Type[Exception],
+) -> Tuple[List[TrajectoryHit], List[Point2], Optional[SingularHit]]:
+    """Straight flight from ``state`` through at most ``steps`` glued edges.
+
+    ``gluing[i] = (j, iso)``: the flight leaving through edge i re-enters
+    through edge j, mapped by ``iso``.  ``check_start`` validates the start
+    after the step count.  Returns the crossings (entered label, position
+    and direction after the crossing), the boundary point each leg ends at
+    (one more than the crossings when the flight ends at a vertex), and the
+    singular hit or None.
+    """
+    if steps < 0:
+        raise ValueError("step count must be >= 0")
+    check_start()
+    table, pos, d = state.table, state.position, state.direction
     edges = table.edges()
-    reflections = [geom.reflection_across(e) for e in edges]
-    pos = state.position
-    d = state.direction
-    hits = []
-    terminated: Union[BounceBudget, SingularHit] = BounceBudget()
-    for _ in range(max_bounces):
+    labels = table.labels
+    hits: List[TrajectoryHit] = []
+    ends: List[Point2] = []
+    for _ in range(steps):
         best = geom.first_hit(pos, d, edges)
         if best is None:
-            raise StartOutsideTable("ray escaped the table (inconsistent state)")
-        edge_idx, h = best
-        v_idx = vertex_guard(table, edge_idx, h)
+            raise escape("ray escaped the polygon (inconsistent state)")
+        i, h = best
+        ends.append(h.point)
+        v_idx = vertex_guard(table, i, h)
         if v_idx is not None:
-            terminated = SingularHit(h.t, v_idx)
-            break
-        d = geom.renormalized(reflections[edge_idx].apply_vec(d))
-        pos = h.point
-        hits.append(TrajectoryHit(table.labels[edge_idx], pos, d))
-    return Trajectory(state, tuple(hits), terminated)
+            return hits, ends, SingularHit(h.t, v_idx)
+        j, iso = gluing[i]
+        d = geom.renormalized(iso.apply_vec(d))
+        # an edge glued to itself is a mirror, which fixes the hit point
+        pos = h.point if j == i else iso.apply(h.point)
+        hits.append(TrajectoryHit(labels[i], pos, d))
+    return hits, ends, None
+
+
+def trace(state: RayState, max_bounces: int) -> Trajectory:
+    """Deterministic forward trace for at most ``max_bounces`` reflections."""
+    edges = state.table.edges()
+    mirrors = [(i, geom.reflection_across(e)) for i, e in enumerate(edges)]
+    hits, _, singular = fly(
+        state, max_bounces, lambda: _check_start(state), mirrors, StartOutsideTable
+    )
+    return Trajectory(state, tuple(hits), singular)
 
 
 def trace_backward(state: RayState, max_bounces: int) -> Trajectory:

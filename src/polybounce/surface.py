@@ -4,7 +4,10 @@ A glued polygon pairs each edge label with exactly one other label via an
 orientation-preserving isometry that reverses boundary direction, producing
 an oriented cone surface.  Cutting sequences record, at each crossing, the
 label of the edge the trajectory hits (the side at which it enters the
-glued wall), then continue from the paired edge.
+glued wall), then continue from the paired edge.  A billiard table is the
+glued polygon whose every edge is glued to itself by a reflection, so
+cutting sequences and billiard traces run the same flight loop,
+``flow.fly``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import geom
 from .errors import (
@@ -24,7 +27,7 @@ from .errors import (
     StartOutsidePolygon,
     UnpairedEdge,
 )
-from .flow import vertex_guard
+from .flow import RayState, fly
 from .geom import PlanarIsometry, Point2, Segment, Vec2, sign
 from .table import (
     INSIDE,
@@ -36,6 +39,7 @@ from .table import (
     strip_comment,
     validate_table,
 )
+from .unfolding import UnionFind
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,28 +125,12 @@ def validate_glued_polygon(
     # vertex classes of the gluing: edge A: v_i -> v_{i+1}, edge B: v_j -> v_{j+1};
     # the orientation-reversing identification matches i ~ j+1 and i+1 ~ j
     n = polygon.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
+    uf = UnionFind(range(n))
     for p in checked:
         i = polygon.edge_index(p.label_a)
         j = polygon.edge_index(p.label_b)
-        union(i, (j + 1) % n)
-        union((i + 1) % n, j)
-
-    groups: Dict[int, List[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        uf.union(i, (j + 1) % n)
+        uf.union((i + 1) % n, j)
 
     exact_angles = None
     if polygon.backend == geom.EXACT:
@@ -150,7 +138,7 @@ def validate_glued_polygon(
         if cls.is_rational:
             exact_angles = cls.angle_data
     classes = []
-    for members in sorted(groups.values()):
+    for members in sorted(uf.classes()):
         rad = sum(interior_angle_radians(polygon, i) for i in members)
         over_pi = None
         if exact_angles is not None:
@@ -184,33 +172,28 @@ def cutting_sequence(
     wall crossings, recording the entered label each time; terminates early
     with the singular flag on a vertex hit."""
     polygon = gp.polygon
-    if d.is_zero():
-        raise DegenerateDirection("zero direction")
-    kind, _ = locate_point(polygon, start)
-    if kind != INSIDE:
-        raise StartOutsidePolygon("start must be strictly inside the polygon")
+
+    def check_start():
+        if d.is_zero():
+            raise DegenerateDirection("zero direction")
+        kind, _ = locate_point(polygon, start)
+        if kind != INSIDE:
+            raise StartOutsidePolygon("start must be strictly inside the polygon")
+
     directed = gp.directed_map()
-    edges = polygon.edges()
-    pos = start
-    vec = geom.renormalized(d)
-    symbols: List[str] = []
-    chords: List[Segment] = []
-    singular = False
-    for _ in range(crossings):
-        best = geom.first_hit(pos, vec, edges)
-        if best is None:
-            raise StartOutsidePolygon("ray escaped the polygon (inconsistent state)")
-        idx, h = best
-        chords.append(Segment(pos, h.point))
-        if vertex_guard(polygon, idx, h) is not None:
-            singular = True
-            break
-        label = polygon.labels[idx]
-        symbols.append(label)
-        _, iso = directed[label]
-        pos = iso.apply(h.point)
-        vec = geom.renormalized(iso.apply_vec(vec))
-    return CuttingWord(tuple(symbols), singular, tuple(chords))
+    gluing = []
+    for label in polygon.labels:
+        other, iso = directed[label]
+        gluing.append((polygon.edge_index(other), iso))
+    state = RayState(start, geom.renormalized(d), polygon)
+    hits, ends, singular = fly(state, crossings, check_start, gluing, StartOutsidePolygon)
+    # a chord runs from where a flight starts to the boundary point it hits
+    starts = [start] + [h.point for h in hits]
+    return CuttingWord(
+        tuple(h.edge_label for h in hits),
+        singular is not None,
+        tuple(Segment(a, b) for a, b in zip(starts, ends)),
+    )
 
 
 # ---------------------------------------------------------------------------

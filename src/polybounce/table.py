@@ -21,9 +21,10 @@ from .errors import (
     SelfIntersecting,
     SingularMatrix,
 )
-from .geom import CCW, CW, COLLINEAR, Point2, Segment, Vec2, sign
+from .geom import CCW, CW, COLLINEAR, Point2, Segment, sign
 
-# order bound for declaring an angle a rational multiple of pi
+# largest denominator q when snapping an f64 angle to p/q * pi, and the largest
+# N build_rational_unfolding accepts; exact classification needs no bound
 DEFAULT_ORDER_BOUND = 720
 
 INSIDE = "inside"
@@ -75,8 +76,8 @@ class TableClass:
     # floats (radians) otherwise
     angle_data: tuple
     N: Optional[int]
-    # exact backend only: False when some angle had no order <= the bound,
-    # in which case is_rational=False is "undecided", not a certificate
+    # True for every exact answer, which is a certificate; False for every
+    # f64 answer, which is a tolerance snap
     certified: bool = True
 
 
@@ -206,25 +207,12 @@ def interior_angle_radians(table: LabeledTable, i: int) -> float:
     return ang
 
 
-def _double_angle_rotation(v: Vec2, w: Vec2):
-    """Exact rotation matrix by twice the angle from v to w (always rational
-    for rational inputs, unlike the single-angle matrix)."""
-    nn = v.norm_sq() * w.norm_sq()
-    c = v.dot(w)
-    s = v.cross(w)
-    cos2 = Fraction(c * c - s * s, nn)
-    sin2 = Fraction(2 * c * s, nn)
-    return cos2, sin2
-
-
-def _rotation_order(cos2: Fraction, sin2: Fraction, bound: int) -> Optional[int]:
-    """Multiplicative order of the rotation (cos2, sin2), or None past bound."""
-    c, s = cos2, sin2
-    for k in range(1, bound + 1):
-        if c == 1 and s == 0:
-            return k
-        c, s = c * cos2 - s * sin2, s * cos2 + c * sin2
-    return None
+# interior angle / (pi/4) by the octant of (sign dot, sign cross); the zero
+# angle (1, 0) is rejected by validate_table
+_OCTANT_QUARTERS = {
+    (1, 1): 1, (0, 1): 2, (-1, 1): 3, (-1, 0): 4,
+    (-1, -1): 5, (0, -1): 6, (1, -1): 7,
+}
 
 
 def classify_table(
@@ -234,17 +222,32 @@ def classify_table(
 ) -> TableClass:
     """Right-angled / rational classification.
 
-    Rational-angle recognition runs only on the exact backend: an angle is a
-    rational multiple of pi iff the doubled-angle rotation between adjacent
-    edge directions has finite order <= order_bound under exact powering.
+    Exact backend, by theorem: for rational edge vectors v, w the doubled
+    angle e^{2i theta} lies in Q(i), whose only roots of unity are +-1 and
+    +-i.  So theta is a rational multiple of pi iff it is a multiple of
+    pi/4, i.e. iff dot == 0, cross == 0 or |dot| == |cross|; the octant of
+    (sign dot, sign cross) gives the multiple.  Exact answers are always
+    certificates.  The f64 backend snaps each angle to p/q with
+    q <= order_bound within the tolerance; its answers never are.
     """
-    backend = table.backend
-    if backend == geom.F64:
-        if exact_angles:
-            raise RationalityUndecidable(
-                "exact angle data requires the exact backend"
-            )
-        angles = tuple(interior_angle_radians(table, i) for i in range(table.n))
+    exact = table.backend == geom.EXACT
+    if exact_angles and not exact:
+        raise RationalityUndecidable("exact angle data requires the exact backend")
+    angles = tuple(interior_angle_radians(table, i) for i in range(table.n))
+    multiples = []
+    if exact:
+        right = True
+        for i in range(table.n):
+            v, w = _interior_angle_vectors(table, i)
+            dot, cross = v.dot(w), v.cross(w)
+            on_axis = dot == 0 or cross == 0
+            right = right and on_axis
+            if on_axis or abs(dot) == abs(cross):
+                quarters = _OCTANT_QUARTERS[sign(dot), sign(cross)]
+                multiples.append(Fraction(quarters, 4))
+            else:
+                multiples.append(None)
+    else:
         eps = geom.float_tolerance()
         half_pi = math.pi / 2
         right = all(
@@ -252,46 +255,14 @@ def classify_table(
             for a in angles
         )
         # tolerance snap to p/q multiples of pi; never a certificate
-        multiples = []
         for a in angles:
             frac = Fraction(a / math.pi).limit_denominator(order_bound)
-            if frac > 0 and abs(a - float(frac) * math.pi) <= eps * max(1.0, a):
-                multiples.append(frac)
-            else:
-                multiples.append(None)
-        if all(m is not None for m in multiples):
-            denoms = [m.denominator for m in multiples]
-            n_lcm = denoms[0]
-            for d in denoms[1:]:
-                n_lcm = n_lcm * d // math.gcd(n_lcm, d)
-            return TableClass(right, True, tuple(multiples), n_lcm, certified=False)
-        return TableClass(right, False, angles, None, certified=False)
-
-    right = True
-    multiples = []
-    certified = True
-    for i in range(table.n):
-        v, w = _interior_angle_vectors(table, i)
-        if not (sign(v.dot(w)) == 0 or sign(v.cross(w)) == 0):
-            right = False
-        cos2, sin2 = _double_angle_rotation(v, w)
-        order = _rotation_order(cos2, sin2, order_bound)
-        if order is None:
-            certified = False
-            multiples.append(None)
-            continue
-        # angle = pi * k / order with gcd(k, order) = 1; recover k numerically
-        approx = interior_angle_radians(table, i)
-        k = round(approx * order / math.pi)
-        multiples.append(Fraction(k, order))
-    if certified and all(m is not None for m in multiples):
-        denoms = [m.denominator for m in multiples]
-        n_lcm = denoms[0]
-        for d in denoms[1:]:
-            n_lcm = n_lcm * d // math.gcd(n_lcm, d)
-        return TableClass(right, True, tuple(multiples), n_lcm, certified=True)
-    angles = tuple(interior_angle_radians(table, i) for i in range(table.n))
-    return TableClass(right, False, angles, None, certified=False)
+            close = frac > 0 and abs(a - float(frac) * math.pi) <= eps * max(1.0, a)
+            multiples.append(frac if close else None)
+    if all(m is not None for m in multiples):
+        n_lcm = math.lcm(*(m.denominator for m in multiples))
+        return TableClass(right, True, tuple(multiples), n_lcm, certified=exact)
+    return TableClass(right, False, angles, None, certified=exact)
 
 
 def transform_table(

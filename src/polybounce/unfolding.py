@@ -153,8 +153,6 @@ class TranslationSurface:
     cone_points: Tuple[ConePointClass, ...]
     genus: int
     euler_characteristic: int
-    holonomy_order: int  # trivial linear holonomy of the translation structure
-    folding_group_order: int  # |D_N| = 2N
     is_npc: bool  # every cone angle >= 2*pi
 
     @property
@@ -163,7 +161,9 @@ class TranslationSurface:
         return all(c.exceeds_two_pi for c in self.cone_points)
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets over hashable items."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
@@ -228,7 +228,7 @@ def build_rational_unfolding(
 
     # vertex classes of the glued complex: edge e_j of copy g is identified
     # with edge e_j of partner(g, j), matching endpoints v_j and v_{j+1}
-    uf = _UnionFind([(g, i) for g in copies for i in range(n)])
+    uf = UnionFind([(g, i) for g in copies for i in range(n)])
     for g in copies:
         for j in range(n):
             h = partner(g, j)
@@ -302,8 +302,6 @@ def build_rational_unfolding(
         cone_points=tuple(cone_points),
         genus=genus,
         euler_characteristic=euler,
-        holonomy_order=1,
-        folding_group_order=2 * n_lcm,
         is_npc=all(c.angle_over_pi >= 2 for c in cone_points),
     )
 

@@ -147,6 +147,27 @@ class TestErrors:
             run(["bounce", "--table", SQUARE])
         assert exc.value.code == 2
 
+    BOUNCE = ["bounce", "--table", SQUARE, "--start", "1/2", "1/2", "--dir", "2", "1"]
+    SPECTRUM = ["spectrum", "--table", SQUARE]
+    CUTTING = ["cutting", "--surface", OCTAGON, "--start", "5", "1", "--dir", "0", "1"]
+    BAD_NUMBERS = [
+        BOUNCE + ["--bounces", "-1"],
+        BOUNCE + ["--bounces", "3", "--backward", "-1"],
+        SPECTRUM + ["--k", "0", "--budget", "5"],
+        SPECTRUM + ["--k", "1", "--budget", "0"],
+        BOUNCE + ["--bounces", "3", "--eps", "0"],
+        BOUNCE + ["--bounces", "3", "--eps", "nan"],
+        CUTTING + ["--crossings", "-1"],
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_NUMBERS, ids=lambda a: " ".join(a[-2:]))
+    def test_bad_number_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
     def test_parse_error_exit_1(self, tmp_path):
         bad = tmp_path / "bad.table"
         bad.write_text("vertex 0 zero\nlabels a\n")

@@ -222,6 +222,13 @@ class TestCutting:
         with pytest.raises(StartOutsidePolygon):
             cutting_sequence(gp, point(F(1, 2), 0, EXACT), direction(0, 1, EXACT), 3)
 
+    def test_negative_crossings_rejected(self):
+        gp = square_torus()
+        with pytest.raises(ValueError):
+            cutting_sequence(
+                gp, point(F(1, 2), F(1, 3), EXACT), direction(1, 0, EXACT), -1
+            )
+
     def test_holonomy_trivial_on_translation_surface(self):
         gp = octagon(OCTAGON_LABELS_CW)
         for pairing in gp.pairings:

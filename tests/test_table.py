@@ -108,7 +108,30 @@ class TestClassify:
             list("abcd"),
         )
         cls = classify_table(t, order_bound=60)
-        assert not cls.is_rational and not cls.certified
+        assert not cls.is_rational and cls.certified
+
+    # one exact table per octant: vertex 0 is the origin, its outgoing edge
+    # runs along +x and its incoming edge comes from the angle's direction
+    OCTANT_TABLES = [
+        ([(0, 0), (1, 0), (1, 1)], F(1, 4), 4),
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], F(1, 2), 2),
+        ([(0, 0), (1, 0), (0, 1), (-1, 1)], F(3, 4), 4),
+        ([(0, 0), (1, 0), (1, 1), (-1, 1), (-1, 0)], F(1), 2),
+        ([(0, 0), (2, 0), (2, 2), (-2, 2), (-2, -2)], F(5, 4), 4),
+        ([(0, 0), (1, 0), (1, 1), (-1, 1), (-1, -1), (0, -1)], F(3, 2), 2),
+        ([(0, 0), (2, 0), (2, 2), (-2, 2), (-2, -2), (2, -2)], F(7, 4), 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "coords,angle,n", OCTANT_TABLES, ids=[str(a) for _, a, _ in OCTANT_TABLES]
+    )
+    def test_octant(self, coords, angle, n):
+        t = validate_table(exact_points(coords), [str(i) for i in range(len(coords))])
+        cls = classify_table(t)
+        assert cls.is_rational and cls.certified
+        assert cls.angle_data[0] == angle
+        assert sum(cls.angle_data) == t.n - 2
+        assert cls.N == n
 
     def test_angle_sum_exact(self, square, lshape):
         for t in (square, lshape):

@@ -187,8 +187,6 @@ class TestRationalUnfolding:
         assert all(c.angle_over_pi == 2 for c in ts.cone_points)
         assert ts.is_npc
         assert not ts.strict_cone_condition  # no angle exceeds 2*pi
-        assert ts.holonomy_order == 1
-        assert ts.folding_group_order == 4
     def test_pentagon_angle_triangle(self):
         h = math.tan(math.pi / 5) / 2
         t = validate_table(
