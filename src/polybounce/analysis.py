@@ -93,10 +93,9 @@ def _witness_for_offset(
     for k in range(1, len(gates)):
         gk = gates[k]
         ek = gk.direction()
-        denom = t_vec.cross(ek)
-        if sign(denom, geom.cross_scale(t_vec, ek)) == 0:
+        if geom.sign_cross(t_vec, ek) == 0:
             return None
-        lam = (gk.a - x).cross(ek) / denom
+        lam = (gk.a - x).cross(ek) / t_vec.cross(ek)
         if sign(lam - lam_prev, scale) <= 0:
             return None
         lam_prev = lam
@@ -216,53 +215,40 @@ class _Cone:
     hi_closed: bool = False
 
     def contains(self, d: Vec2) -> bool:
-        c1 = sign(self.lo.cross(d), geom.cross_scale(self.lo, d))
+        c1 = geom.sign_cross(self.lo, d)
         if c1 < 0:
             return False
         if c1 == 0 and not (self.lo_closed and sign(self.lo.dot(d)) > 0):
             return False
-        c2 = sign(d.cross(self.hi), geom.cross_scale(d, self.hi))
+        c2 = geom.sign_cross(d, self.hi)
         if c2 < 0:
             return False
         if c2 == 0 and not (self.hi_closed and sign(d.dot(self.hi)) > 0):
             return False
         return True
 
-    def contains_closure(self, d: Vec2) -> bool:
-        c1 = sign(self.lo.cross(d), geom.cross_scale(self.lo, d))
-        if c1 < 0:
-            return False
-        if c1 == 0 and sign(self.lo.dot(d)) <= 0:
-            return False
-        c2 = sign(d.cross(self.hi), geom.cross_scale(d, self.hi))
-        if c2 < 0:
-            return False
-        if c2 == 0 and sign(d.dot(self.hi)) <= 0:
-            return False
-        return True
-
 
 def _same_ray(u: Vec2, v: Vec2) -> bool:
-    return (
-        sign(u.cross(v), geom.cross_scale(u, v)) == 0 and sign(u.dot(v)) > 0
-    )
+    return geom.sign_cross(u, v) == 0 and sign(u.dot(v)) > 0
 
 
 def _intersect_with_window(cone: _Cone, wa: Vec2, wb: Vec2) -> Optional[_Cone]:
     """Intersection of the cone with the open window (wa, wb), width < pi."""
-    window = _Cone(wa, wb)
+    # candidate bounds are tested against the closures of both sectors
+    window = _Cone(wa, wb, True, True)
+    closed = _Cone(cone.lo, cone.hi, True, True)
     lo_cands = []
-    if window.contains_closure(cone.lo):
+    if window.contains(cone.lo):
         lo_cands.append((cone.lo, cone.lo_closed))
-    if cone.contains_closure(wa):
+    if closed.contains(wa):
         if _same_ray(wa, cone.lo):
             lo_cands.append((cone.lo, False))
         else:
             lo_cands.append((wa, False))
     hi_cands = []
-    if window.contains_closure(cone.hi):
+    if window.contains(cone.hi):
         hi_cands.append((cone.hi, cone.hi_closed))
-    if cone.contains_closure(wb):
+    if closed.contains(wb):
         if _same_ray(wb, cone.hi):
             hi_cands.append((cone.hi, False))
         else:
@@ -274,16 +260,16 @@ def _intersect_with_window(cone: _Cone, wa: Vec2, wb: Vec2) -> Optional[_Cone]:
     for d, cl in lo_cands[1:]:
         if _same_ray(d, lo):
             lo_closed = lo_closed and cl
-        elif sign(lo.cross(d), geom.cross_scale(lo, d)) > 0:
+        elif geom.sign_cross(lo, d) > 0:
             lo, lo_closed = d, cl
     # the most clockwise upper bound
     hi, hi_closed = hi_cands[0]
     for d, cl in hi_cands[1:]:
         if _same_ray(d, hi):
             hi_closed = hi_closed and cl
-        elif sign(d.cross(hi), geom.cross_scale(d, hi)) > 0:
+        elif geom.sign_cross(d, hi) > 0:
             hi, hi_closed = d, cl
-    c = sign(lo.cross(hi), geom.cross_scale(lo, hi))
+    c = geom.sign_cross(lo, hi)
     if c > 0:
         return _Cone(lo, hi, lo_closed, hi_closed)
     if c == 0 and lo_closed and hi_closed and sign(lo.dot(hi)) > 0:
@@ -299,7 +285,7 @@ def _initial_cones(table: LabeledTable, vertex: int) -> List[_Cone]:
     lo = fwd
     lo_closed = False
     # keep splitting a quarter turn at a time until the remainder is < pi
-    while not sign(lo.cross(back), geom.cross_scale(lo, back)) > 0:
+    while not geom.sign_cross(lo, back) > 0:
         mid = lo.perp()
         cones.append(_Cone(lo, mid, lo_closed, False))
         lo, lo_closed = mid, True
@@ -336,9 +322,9 @@ def _crossings_valid(
     prev = 0
     for gate in gates:
         e = gate.direction()
-        denom = d.cross(e)
-        if sign(denom, geom.cross_scale(d, e)) == 0:
+        if geom.sign_cross(d, e) == 0:
             return False
+        denom = d.cross(e)
         w = gate.a - v0
         lam = w.cross(e) / denom
         sigma = w.cross(d) / denom
@@ -413,7 +399,7 @@ def enumerate_generalized_diagonals(
             wb = gate.b - v0
             if wa.is_zero() or wb.is_zero():
                 continue
-            ori = sign(wa.cross(wb), geom.cross_scale(wa, wb))
+            ori = geom.sign_cross(wa, wb)
             if ori == 0:
                 continue
             if ori < 0:

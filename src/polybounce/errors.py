@@ -39,10 +39,6 @@ class DuplicateLabel(BilliardError):
     """The same label used for two edges."""
 
 
-class RationalityUndecidable(BilliardError):
-    """Exact angle data requested but not available on this backend/bound."""
-
-
 class SingularMatrix(BilliardError):
     """Affine transform with zero determinant."""
 

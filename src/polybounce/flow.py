@@ -86,9 +86,9 @@ def in_interior_cone(back: Vec2, fwd: Vec2, d: Vec2) -> bool:
     back points along the incoming edge reversed, fwd along the outgoing
     edge; handles reflex angles (sweep > pi).
     """
-    c_span = sign(fwd.cross(back), geom.cross_scale(fwd, back))
-    c1 = sign(fwd.cross(d), geom.cross_scale(fwd, d))
-    c2 = sign(d.cross(back), geom.cross_scale(d, back))
+    c_span = geom.sign_cross(fwd, back)
+    c1 = geom.sign_cross(fwd, d)
+    c2 = geom.sign_cross(d, back)
     if c_span > 0:
         return c1 > 0 and c2 > 0
     if c_span == 0:
@@ -110,9 +110,8 @@ def _check_start(state: RayState) -> None:
     if kind == OUTSIDE:
         raise StartOutsideTable("start position outside the table")
     if kind == ON_EDGE:
-        edge = table.edge(idx)
-        inward = edge.direction().perp()  # interior lies left of a CCW edge
-        s = sign(d.dot(inward), geom.cross_scale(d, inward))
+        # d points inward iff it turns left from the CCW edge
+        s = geom.sign_cross(table.edge(idx).direction(), d)
         if s == 0:
             raise DegenerateDirection("grazing start along an edge")
         if s < 0:

@@ -3,7 +3,9 @@
 Exact mode stores scalars as ``fractions.Fraction``; every predicate reduces
 to an integer sign and is never wrong.  Float mode stores ``float`` and
 compares through a module-level relative tolerance (default 1e-9):
-a == b  iff  |a-b| <= eps * max(1, |a|, |b|).
+a == b  iff  |a-b| <= eps * max(1, |a|, |b|).  How that tolerance scales
+with the magnitudes of the operands is known only to this module: other
+modules take orientation signs from ``sign_cross``.
 
 Directions are projective ray classes in exact mode (kept un-normalized so
 the backend stays closed under reflection); float directions are normalized
@@ -126,10 +128,15 @@ def sign(x: Scalar, scale: Scalar = 1) -> int:
 
 
 def sign_cross(u: "Vec2", v: "Vec2") -> int:
-    """Sign of u x v; the float tolerance scale is computed lazily."""
+    """Sign of u x v: CCW (1), COLLINEAR (0) or CW (-1).
+
+    The one tolerance-aware orientation predicate.  Float mode reads zero
+    within eps scaled by the operands' magnitudes; that scaling lives only
+    in this module and is computed only on floats.
+    """
     c = u.dx * v.dy - u.dy * v.dx
     if isinstance(c, float):
-        return sign(c, cross_scale(u, v))
+        return sign(c, _cross_scale(u, v))
     return _sign_exact(c)
 
 
@@ -241,8 +248,8 @@ def abs_scalar(x) -> Scalar:
     return -x if x < 0 else x
 
 
-def cross_scale(u: Vec2, v: Vec2):
-    # magnitude proxy for tolerance scaling of u x v and u . v
+def _cross_scale(u: Vec2, v: Vec2):
+    # magnitude proxy for tolerance scaling of u x v
     return (abs_scalar(u.dx) + abs_scalar(u.dy)) * (abs_scalar(v.dx) + abs_scalar(v.dy))
 
 
@@ -297,16 +304,9 @@ def ray_segment_hit(origin: Point2, d: Vec2, seg: Segment) -> Optional[Hit]:
     exact = not isinstance(origin.x, float)
     e = seg.b - seg.a
     w = seg.a - origin
-    denom = d.dx * e.dy - d.dy * e.dx
-    parallel = (denom == 0) if exact else (sign(denom, cross_scale(d, e)) == 0)
-    if parallel:
+    if sign_cross(d, e) == 0:
         # collinear only if origin lies on the supporting line
-        off_line = (
-            (w.cross(d) != 0)
-            if exact
-            else (sign(w.cross(d), cross_scale(w, d)) != 0)
-        )
-        if off_line:
+        if sign_cross(w, d) != 0:
             return None
         dd = d.norm_sq()
         ta = w.dot(d) / dd
@@ -321,6 +321,7 @@ def ray_segment_hit(origin: Point2, d: Vec2, seg: Segment) -> Optional[Hit]:
         if best is None:
             return None
         return Hit(best[0], best[1], best[2])
+    denom = d.dx * e.dy - d.dy * e.dx
     t = (w.dx * e.dy - w.dy * e.dx) / denom
     if exact:
         if t <= 0:

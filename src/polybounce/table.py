@@ -17,7 +17,6 @@ from .errors import (
     DuplicateLabel,
     LabelCountMismatch,
     ParseError,
-    RationalityUndecidable,
     SelfIntersecting,
     SingularMatrix,
 )
@@ -177,7 +176,7 @@ def validate_table(
     for i in range(n):
         u = table.edge((i - 1) % n).direction()
         v = table.edge(i).direction()
-        if sign(u.cross(v), geom.cross_scale(u, v)) == 0 and sign(u.dot(v)) < 0:
+        if geom.sign_cross(u, v) == 0 and sign(u.dot(v)) < 0:
             raise SelfIntersecting(f"zero interior angle at vertex {i}")
 
     # simplicity: non-adjacent edges must not touch at all
@@ -218,7 +217,6 @@ _OCTANT_QUARTERS = {
 def classify_table(
     table: LabeledTable,
     order_bound: int = DEFAULT_ORDER_BOUND,
-    exact_angles: bool = False,
 ) -> TableClass:
     """Right-angled / rational classification.
 
@@ -231,8 +229,6 @@ def classify_table(
     q <= order_bound within the tolerance; its answers never are.
     """
     exact = table.backend == geom.EXACT
-    if exact_angles and not exact:
-        raise RationalityUndecidable("exact angle data requires the exact backend")
     angles = tuple(interior_angle_radians(table, i) for i in range(table.n))
     multiples = []
     if exact:

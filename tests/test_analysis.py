@@ -117,6 +117,21 @@ class TestPeriodic:
         # |T| = sqrt(20): width is irrational, reported as float
         assert isinstance(res.family_width, float)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: the reported band is the gate projections "
+        "alone; only its upper half closes up on this nonconvex table",
+    )
+    def test_lshape_band_closes_up(self, lshape):
+        res = periodic_orbit_for_word(lshape, ("f", "e", "d", "f", "a", "b"))
+        assert res.exists
+        state = witness_at_offset(res, F(1, 3))
+        assert state is not None
+        traj = trace(state, len(res.word))
+        assert bounce_word(traj).symbols == res.word
+        assert geom.points_equal(traj.hits[-1].point, state.position)
+
     def test_fagnano_float_backend(self):
         tri = validate_table(
             [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.3, 0.8)],
@@ -178,6 +193,16 @@ class TestDiagonals:
         assert records
         for r in records:
             assert resimulate_diagonal(lshape, r)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: the empty word to (1, 2) leaves the table "
+        "across edge c at (3/2, 1) and is still reported",
+    )
+    def test_lshape_records_stay_inside(self, lshape):
+        records = enumerate_generalized_diagonals(lshape, 1, 3)
+        assert all(resimulate_diagonal(lshape, r) for r in records)
 
     def test_blocked_collinear_target_excluded(self, square):
         records = enumerate_generalized_diagonals(square, 0, 5)

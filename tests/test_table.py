@@ -6,7 +6,6 @@ from polybounce.errors import (
     DuplicateLabel,
     LabelCountMismatch,
     ParseError,
-    RationalityUndecidable,
     SelfIntersecting,
     SingularMatrix,
 )
@@ -94,13 +93,6 @@ class TestClassify:
         cls = classify_table(t)
         assert not cls.is_right_angled
         assert not cls.certified
-
-    def test_float_exact_angles_undecidable(self):
-        t = validate_table(
-            [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0)], list("abc")
-        )
-        with pytest.raises(RationalityUndecidable):
-            classify_table(t, exact_angles=True)
 
     def test_exact_generic_quad_not_rational(self):
         t = validate_table(
