@@ -10,6 +10,11 @@ modules take orientation signs from ``sign_cross``.
 Directions are projective ray classes in exact mode (kept un-normalized so
 the backend stays closed under reflection); float directions are normalized
 to unit length.  All types are immutable values and all operations are pure.
+
+The exact ray kernel, ``first_hit``, puts the origin, the direction and the
+edges over common integer denominators once per call, so its per-edge tests
+are integer signs and cross-multiplications; only the winning edge builds a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -344,46 +349,81 @@ def first_hit(origin: Point2, d: Vec2, segments) -> Optional[tuple]:
 
     Same semantics as ray_segment_hit per segment, with the smallest t
     winning and ties going to the lowest index.
+
+    Exact mode works on homogeneous integers: the origin is (X, Y) / W, the
+    direction (DX, DY) / L and every endpoint is over one denominator D.  An
+    edge a + s*e with e = (ex, ey) / D then has t = T*L / (den*D*W) and
+    s = S / (den*W), with den = DX*ey - DY*ex made positive, so the per-edge
+    tests are integer signs and cross-multiplications and only the winner
+    builds a Fraction.  Edges parallel to the ray (den == 0) go through
+    ray_segment_hit.
     """
     if d.is_zero():
         raise DegenerateDirection("zero direction")
     exact = not isinstance(origin.x, float)
     ox, oy = origin.x, origin.y
     dx, dy = d.dx, d.dy
+    if exact:
+        W = math.lcm(ox.denominator, oy.denominator)
+        L = math.lcm(dx.denominator, dy.denominator)
+        DX = dx.numerator * (L // dx.denominator)
+        DY = dy.numerator * (L // dy.denominator)
+        D = math.lcm(*[c.denominator for s in segments for c in (s.a.x, s.a.y, s.b.x, s.b.y)])
+        # the origin over D*W, so that w = a - origin is (WX, WY) / (D*W)
+        XD = ox.numerator * (W // ox.denominator) * D
+        YD = oy.numerator * (W // oy.denominator) * D
+        # best t so far: best_T*L / (best_den*D*W); best_hit is None until
+        # the end unless a parallel edge won
+        winner = None
+        best_T = best_den = 0
+        for i, seg in enumerate(segments):
+            a, b = seg.a, seg.b
+            ax = a.x.numerator * (D // a.x.denominator)
+            ay = a.y.numerator * (D // a.y.denominator)
+            ex = b.x.numerator * (D // b.x.denominator) - ax
+            ey = b.y.numerator * (D // b.y.denominator) - ay
+            den = DX * ey - DY * ex
+            if den == 0:
+                h = ray_segment_hit(origin, d, seg)
+                if h is not None:
+                    T = h.t.numerator * D * W
+                    den = h.t.denominator * L
+                    if best_den == 0 or T * best_den < best_T * den:
+                        best_T, best_den, winner, best_hit = T, den, (i, seg), h
+                continue
+            WX = ax * W - XD
+            WY = ay * W - YD
+            if den < 0:
+                # T and S are linear in w: this makes den > 0 for both
+                den, WX, WY = -den, -WX, -WY
+            T = WX * ey - WY * ex
+            if T <= 0 or (best_den and T * best_den >= best_T * den):
+                continue
+            S = WX * DY - WY * DX
+            if S < 0 or S > den * W:
+                continue
+            best_T, best_den, winner, best_hit = T, den, (i, seg), None
+        if winner is None:
+            return None
+        i, seg = winner
+        if best_hit is None:
+            t = Fraction(best_T * L, best_den * D * W)
+            pt = Point2(ox + t * dx, oy + t * dy)
+            best_hit = Hit(t, pt, _endpoint_class(pt, seg))
+        return i, best_hit
     best_t = None
     best = None
-    if exact:
-        for i, seg in enumerate(segments):
-            ax, ay = seg.a.x, seg.a.y
-            ex = seg.b.x - ax
-            ey = seg.b.y - ay
-            denom = dx * ey - dy * ex
-            if denom == 0:
-                h = ray_segment_hit(origin, d, seg)
-                if h is not None and (best_t is None or h.t < best_t):
-                    best_t = h.t
-                    best = (i, h)
-                continue
-            wx = ax - ox
-            wy = ay - oy
-            t = (wx * ey - wy * ex) / denom
-            if t <= 0 or (best_t is not None and t >= best_t):
-                continue
-            s = (wx * dy - wy * dx) / denom
-            if s < 0 or s > 1:
-                continue
-            best_t = t
-            pt = Point2(ox + t * dx, oy + t * dy)
-            best = (i, Hit(t, pt, _endpoint_class(pt, seg)))
-        return best
     eps = _float_eps
     t_tol = eps * max(1.0, abs(ox), abs(oy))
+    d_l1 = abs(dx) + abs(dy)
     for i, seg in enumerate(segments):
         ax, ay = seg.a.x, seg.a.y
         ex = seg.b.x - ax
         ey = seg.b.y - ay
         denom = dx * ey - dy * ex
-        if abs(denom) <= eps * (abs(dx) + abs(dy)) * (abs(ex) + abs(ey)):
+        # sign_cross(d, e) == 0, inlined: the scale is floored at 1
+        scale = d_l1 * (abs(ex) + abs(ey))
+        if abs(denom) <= eps * (scale if scale > 1.0 else 1.0):
             h = ray_segment_hit(origin, d, seg)
             if h is not None and (best_t is None or h.t < best_t):
                 best_t = h.t

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from polybounce import geom
-from polybounce.geom import EXACT, Point2, point
+from polybounce.geom import EXACT, Point2, point, ray_segment_hit
 from polybounce.table import validate_table
 
 TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
@@ -17,6 +17,17 @@ def _reset_float_tolerance():
 
 def exact_points(coords):
     return [point(x, y, EXACT) for x, y in coords]
+
+
+def reference_first_hit(origin, d, segments):
+    """Oracle for geom.first_hit: ray_segment_hit on every segment, the
+    smallest t wins and ties go to the lowest index."""
+    best = None
+    for i, s in enumerate(segments):
+        h = ray_segment_hit(origin, d, s)
+        if h is not None and (best is None or h.t < best[1].t):
+            best = (i, h)
+    return best
 
 
 @pytest.fixture

@@ -120,7 +120,7 @@ class TestPeriodic:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="ROADMAP item 3: the reported band is the gate projections "
+        reason="ROADMAP item 2: the reported band is the gate projections "
         "alone; only its upper half closes up on this nonconvex table",
     )
     def test_lshape_band_closes_up(self, lshape):
@@ -197,7 +197,7 @@ class TestDiagonals:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="ROADMAP item 3: the empty word to (1, 2) leaves the table "
+        reason="ROADMAP item 2: the empty word to (1, 2) leaves the table "
         "across edge c at (3/2, 1) and is still reported",
     )
     def test_lshape_records_stay_inside(self, lshape):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import reference_first_hit
 from polybounce import geom
 from polybounce.errors import (
     BackendMismatch,
@@ -120,6 +121,14 @@ class TestRaySegmentHit:
 
 
 class TestFirstHit:
+    """The whole (index, Hit) of exact first_hit against the reference scan."""
+
+    @staticmethod
+    def check(o, d, segs):
+        got = geom.first_hit(o, d, segs)
+        assert repr(got) == repr(reference_first_hit(o, d, segs))
+        return got
+
     def test_matches_per_segment_scan(self):
         rng = random.Random(3)
         segs = [seg(1, -2, 1, 2), seg(-2, 1, 2, 1), seg(0, 3, 3, 0)]
@@ -128,16 +137,80 @@ class TestFirstHit:
             d = Vec2(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
             if d.is_zero():
                 continue
-            best = None
-            for i, s in enumerate(segs):
-                h = ray_segment_hit(o, d, s)
-                if h is not None and (best is None or h.t < best[1].t):
-                    best = (i, h)
-            got = geom.first_hit(o, d, segs)
-            if best is None:
-                assert got is None
+            self.check(o, d, segs)
+
+    def test_mixed_edge_denominators(self):
+        rng = random.Random(4)
+        segs = [
+            seg(F(-1, 3), F(-5, 7), F(9, 4), F(-2, 5)),
+            seg(F(9, 4), F(-2, 5), F(11, 6), F(13, 9)),
+            seg(F(11, 6), F(13, 9), F(-1, 3), F(-5, 7)),
+            seg(F(1, 2), 3, F(1, 2), F(-7, 11)),
+        ]
+
+        def rat(top, den):
+            return F(rng.randint(-top, top), rng.randint(1, den))
+
+        hits = 0
+        for k in range(300):
+            o = P(rat(20, 13), rat(20, 13))
+            if k % 3 == 0:
+                d = Vec2(rat(9, 8), rat(9, 8))
             else:
-                assert got[0] == best[0] and got[1].t == best[1].t
+                # aimed at a vertex or at a point of an edge
+                s = rng.choice(segs)
+                u = rng.choice([0, 1, F(rng.randint(1, 6), 7)])
+                d = Vec2(s.a.x + u * (s.b.x - s.a.x) - o.x, s.a.y + u * (s.b.y - s.a.y) - o.y)
+            if d.is_zero():
+                continue
+            hits += self.check(o, d, segs) is not None
+        assert hits > 200
+
+    def test_wide_origin_denominators(self):
+        rng = random.Random(5)
+        segs = [seg(0, 0, 2, 0), seg(2, 0, F(1, 3), F(5, 2)), seg(F(1, 3), F(5, 2), 0, 0)]
+        for _ in range(100):
+            q = rng.getrandbits(210) | (1 << 209)
+            # x in (1/2, 1), y in (0, 1/2): inside the triangle
+            o = P(F(q + rng.randint(1, q - 1), 2 * q), F(rng.randint(1, q), 2 * q + 1))
+            dq = rng.getrandbits(200) | 1
+            d = Vec2(F(rng.randint(-dq, dq), dq), F(rng.randint(-dq, dq), dq + 2))
+            if d.is_zero():
+                continue
+            assert self.check(o, d, segs) is not None  # the origin is inside
+
+    def test_parallel_and_collinear_edges(self):
+        x = direction(1, 0, EXACT)
+        # collinear ahead, parallel off the line, crossing further on
+        segs = [seg(2, 0, 3, 0), seg(0, 1, 5, 1), seg(4, -1, 4, 1)]
+        assert self.check(P(0, 0), x, segs)[0] == 0
+        # departing a collinear edge: its far endpoint is still ahead
+        assert self.check(P(F(5, 2), 0), x, segs)[1].where == geom.ENDPOINT_B
+        # behind the origin the collinear edge is not hit
+        assert self.check(P(F(7, 2), 0), x, segs)[0] == 2
+        assert self.check(P(0, 2), x, segs) is None
+        assert self.check(P(5, 0), x, segs) is None
+
+    def test_shared_vertex_goes_to_lower_index(self):
+        o, d = P(F(1, 2), F(1, 2)), direction(1, 1, EXACT)
+        right, top = seg(1, 0, 1, 1), seg(1, 1, 0, 1)
+        for segs in ([right, top], [top, right]):
+            i, h = self.check(o, d, segs)
+            assert i == 0 and (h.point.x, h.point.y) == (1, 1)
+        # a tie between a collinear edge and a crossing edge, in both orders
+        along, across = seg(2, 0, 3, 0), seg(2, -1, 2, 0)
+        for segs in ([along, across], [across, along]):
+            i, h = self.check(P(0, 0), direction(1, 0, EXACT), segs)
+            assert i == 0 and h.t == 2
+
+    def test_float_parallel_rule_matches_ray_segment_hit(self):
+        # on an edge shorter than 1 the parallel test has the same floor as
+        # sign_cross, so first_hit and ray_segment_hit agree
+        o, d = Point2(0.0, -1.0005e-7), Vec2(1.0, 1e-7)
+        s = Segment(Point2(1.0, 0.0), Point2(1.001, 0.0))
+        h = ray_segment_hit(o, d, s)
+        assert h.where == geom.ENDPOINT_A
+        assert geom.first_hit(o, d, [s]) == (0, h)
 
 
 class TestReflection:

@@ -4,14 +4,20 @@ from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import TABLES, reference_first_hit
 from polybounce.analysis import enumerate_generalized_diagonals, resimulate_diagonal
-from polybounce.geom import Point2, Vec2, orientation, sign_cross
-from polybounce.table import validate_table
+from polybounce.flow import RayState, trace
+from polybounce.geom import EXACT, Point2, Segment, Vec2, first_hit, orientation, sign_cross
+from polybounce.table import load_table, validate_table
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 lattice_points = st.tuples(st.integers(0, 6), st.integers(0, 6))
 small_vectors = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+small_rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 6, 7]))
+rational_points = st.tuples(small_rationals, small_rationals)
+directions = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0))
+weights = st.lists(st.integers(1, 5), min_size=4, max_size=4)
 
 
 @PROPERTY
@@ -40,3 +46,54 @@ def test_sign_cross_antisymmetric_and_backend_free(u, v):
     assert sign_cross(ev, eu) == -s
     assert sign_cross(fu, fv) == s
     assert sign_cross(fv, fu) == -s
+
+
+@PROPERTY
+@given(st.lists(rational_points, min_size=3, max_size=4), rational_points, rational_points,
+       st.integers(-1, 3))
+def test_exact_first_hit_matches_reference_scan(corners, o, d, aim):
+    n = len(corners)
+    segs = [Segment(Point2(*corners[i]), Point2(*corners[(i + 1) % n])) for i in range(n)]
+    assume(all(s.a != s.b for s in segs))
+    origin = Point2(*o)
+    if aim >= 0:
+        # aimed at a vertex
+        d = (corners[aim % n][0] - o[0], corners[aim % n][1] - o[1])
+    assume(d != (0, 0))
+    ray = Vec2(*d)
+    assert repr(first_hit(origin, ray, segs)) == repr(reference_first_hit(origin, ray, segs))
+
+
+def _reverses(table, w, d):
+    """Trace 40 bounces from a convex combination of the vertices, then fly
+    back from the last hit point against the incoming direction."""
+    vs = table.vertices
+    total = sum(w[: len(vs)])
+    start = Point2(
+        sum(k * v.x for k, v in zip(w, vs)) / total, sum(k * v.y for k, v in zip(w, vs)) / total
+    )
+    forward = trace(RayState(start, Vec2(F(d[0]), F(d[1])), table), 40)
+    hits = forward.hits
+    legs = [forward.start.direction] + [h.direction for h in hits]
+    if forward.is_singular:
+        end, incoming, retraced = vs[forward.terminated_by.vertex_index], legs[-1], hits
+    else:
+        end, incoming, retraced = hits[-1].point, legs[-2], hits[:-1]
+    back = trace(RayState(end, -incoming, table), len(retraced))
+    labelled = [(h.edge_label, h.point) for h in back.hits]
+    assert labelled == [(h.edge_label, h.point) for h in reversed(retraced)]
+
+
+@PROPERTY
+@given(lattice_points, lattice_points, lattice_points, weights, directions)
+def test_time_reversal_lattice_triangles(a, b, c, w, d):
+    exact = [Point2(F(x), F(y)) for x, y in (a, b, c)]
+    assume(orientation(*exact) != 0)
+    _reverses(validate_table(exact, ["a", "b", "c"]), w, d)
+
+
+@PROPERTY
+@given(st.sampled_from(["square", "rect21", "quad", "acute"]), weights, directions)
+def test_time_reversal_shipped_tables(name, w, d):
+    # the shipped tables are convex, so every start drawn is inside
+    _reverses(load_table(TABLES / f"{name}.table", EXACT), w, d)
