@@ -466,15 +466,15 @@ class WordLanguage:
     provenance: dict
 
 
-def _halton(index: int, base: int) -> Fraction:
-    result = Fraction(0)
-    f = Fraction(1, base)
-    i = index
-    while i > 0:
-        result += f * (i % base)
-        i //= base
-        f /= base
-    return result
+def _radical_inverse(index: int, base: int) -> Tuple[int, int]:
+    """The Halton coordinate of ``index`` in ``base`` as (num, base**digits):
+    the base-``base`` digits of ``index`` mirrored about the radix point."""
+    num = digits = 0
+    while index:
+        num = num * base + index % base
+        index //= base
+        digits += 1
+    return num, base**digits
 
 
 def sample_states(table: LabeledTable, count: int, seed: int):
@@ -484,45 +484,46 @@ def sample_states(table: LabeledTable, count: int, seed: int):
     sampled into the interior); directions from a tan-half-angle rational
     parameter, so the exact backend stays rational.  Both are produced in
     bounding-box coordinates, so tables related by an axis-aligned affine
-    map with the same seed receive corresponding samples.
+    map with the same seed receive corresponding samples.  The Halton
+    coordinates are integer radical inverses num / base**digits; f64
+    samples are the exact samples correctly rounded, not a second stream.
     """
-    states, stats = _sample_states_stats(table, count, seed)
-    return states
+    return [state for state in _halton_starts(table, count, seed) if state is not None]
 
 
-def _sample_states_stats(table: LabeledTable, count: int, seed: int):
-    backend = table.backend
+def _halton_starts(table: LabeledTable, count: int, seed: int):
+    """sample_states one attempt at a time: the start state, or None where
+    the sampled point is not inside.  Stops after ``count`` states or
+    1000 * count + 1000 attempts."""
+    exact = table.backend == geom.EXACT
     xmin, ymin, xmax, ymax = table.bounding_box()
     wx = xmax - xmin
     wy = ymax - ymin
-    states = []
-    rejected = 0
-    index = 1 + 1000003 * (seed % (1 << 30))
-    attempts = 0
-    cap = 1000 * count + 1000
-    while len(states) < count and attempts < cap:
-        attempts += 1
-        u_x = _halton(index, 2)
-        u_y = _halton(index, 3)
-        u_t = _halton(index, 5)
-        u_s = _halton(index, 7)
-        index += 1
-        if backend == geom.EXACT:
-            pos = Point2(xmin + u_x * wx, ymin + u_y * wy)
-            t = 4 * (2 * u_t - 1)
+    first = 1 + 1000003 * (seed % (1 << 30))
+    found = 0
+    for index in range(first, first + 1000 * count + 1000):
+        if found >= count:
+            return
+        xn, xd = _radical_inverse(index, 2)
+        yn, yd = _radical_inverse(index, 3)
+        tn, td = _radical_inverse(index, 5)
+        sn, sd = _radical_inverse(index, 7)
+        if exact:
+            pos = Point2(xmin + Fraction(xn, xd) * wx, ymin + Fraction(yn, yd) * wy)
+            t = Fraction(4 * (2 * tn - td), td)
             d = Vec2((1 - t * t) * wx, 2 * t * wy)
         else:
-            pos = Point2(float(xmin + u_x * wx), float(ymin + u_y * wy))
-            t = float(4 * (2 * u_t - 1))
-            d = Vec2((1.0 - t * t) * float(wx), 2.0 * t * float(wy))
-        if u_s >= Fraction(1, 2):
+            # int / int is correctly rounded, as float(Fraction) is
+            pos = Point2(xmin + xn / xd * wx, ymin + yn / yd * wy)
+            t = 4 * (2 * tn - td) / td
+            d = Vec2((1.0 - t * t) * wx, 2.0 * t * wy)
+        if 2 * sn >= sd:
             d = -d
-        kind, _ = locate_point(table, pos)
-        if kind != INSIDE:
-            rejected += 1
+        if locate_point(table, pos)[0] != INSIDE:
+            yield None
             continue
-        states.append(RayState(pos, geom.renormalized(d), table))
-    return states, {"attempted": attempts, "rejected_outside": rejected}
+        found += 1
+        yield RayState(pos, geom.renormalized(d), table)
 
 
 def sample_bounce_language(
@@ -543,19 +544,18 @@ def sample_bounce_language(
     words: Set[Tuple[str, ...]] = set()
     singular_skipped = 0
     collected = 0
-    attempts = 0
-    index_seed = rng_seed
-    batch = budget
-    stats_total = {"attempted": 0, "rejected_outside": 0}
-    # singular starts are skipped and resampled from the same stream
-    while collected < budget and attempts < 50:
-        attempts += 1
-        states, stats = _sample_states_stats(
-            table, batch, index_seed + 7919 * (attempts - 1)
-        )
-        stats_total["attempted"] += stats["attempted"]
-        stats_total["rejected_outside"] += stats["rejected_outside"]
-        for state in states:
+    batches = 0
+    attempted = rejected = 0
+    # singular starts are skipped and resampled from a shifted stream; each
+    # batch asks for the missing count, so collected never passes budget
+    while collected < budget and batches < 50:
+        seed = rng_seed + 7919 * batches
+        batches += 1
+        for state in _halton_starts(table, budget - collected, seed):
+            attempted += 1
+            if state is None:
+                rejected += 1
+                continue
             traj = trace(state, length)
             if traj.is_singular:
                 singular_skipped += 1
@@ -564,9 +564,6 @@ def sample_bounce_language(
             for i in range(len(symbols) - k + 1):
                 words.add(symbols[i : i + k])
             collected += 1
-            if collected >= budget:
-                break
-        batch = max(1, budget - collected)
     provenance = {
         "seed": rng_seed,
         "k": k,
@@ -575,7 +572,8 @@ def sample_bounce_language(
         "trajectories": collected,
         "singular_skipped": singular_skipped,
         "backend": table.backend,
-        **stats_total,
+        "attempted": attempted,
+        "rejected_outside": rejected,
     }
     return WordLanguage(k, frozenset(words), frozenset(table.labels), provenance)
 

@@ -306,6 +306,7 @@ def ray_segment_hit(origin: Point2, d: Vec2, seg: Segment) -> Optional[Hit]:
     shared_backend(origin.x, d.dx, seg.a.x, seg.b.x)
     if d.is_zero():
         raise DegenerateDirection("zero direction")
+    # exact input may be plain ints: each divisor below becomes a Fraction
     exact = not isinstance(origin.x, float)
     e = seg.b - seg.a
     w = seg.a - origin
@@ -314,6 +315,8 @@ def ray_segment_hit(origin: Point2, d: Vec2, seg: Segment) -> Optional[Hit]:
         if sign_cross(w, d) != 0:
             return None
         dd = d.norm_sq()
+        if exact:
+            dd = Fraction(dd)
         ta = w.dot(d) / dd
         tb = (seg.b - origin).dot(d) / dd
         origin_scale = 1 if exact else max(1.0, abs(origin.x), abs(origin.y))
@@ -325,8 +328,13 @@ def ray_segment_hit(origin: Point2, d: Vec2, seg: Segment) -> Optional[Hit]:
                 best = (t, pt, cls)
         if best is None:
             return None
-        return Hit(best[0], best[1], best[2])
+        t, pt, cls = best
+        if exact:
+            pt = point(pt.x, pt.y, EXACT)
+        return Hit(t, pt, cls)
     denom = d.dx * e.dy - d.dy * e.dx
+    if exact:
+        denom = Fraction(denom)
     t = (w.dx * e.dy - w.dy * e.dx) / denom
     if exact:
         if t <= 0:
@@ -407,8 +415,10 @@ def first_hit(origin: Point2, d: Vec2, segments) -> Optional[tuple]:
             return None
         i, seg = winner
         if best_hit is None:
-            t = Fraction(best_T * L, best_den * D * W)
-            pt = Point2(ox + t * dx, oy + t * dy)
+            dw = best_den * D * W
+            t = Fraction(best_T * L, dw)
+            pt = Point2(Fraction(XD * best_den + best_T * DX, dw),
+                        Fraction(YD * best_den + best_T * DY, dw))
             best_hit = Hit(t, pt, _endpoint_class(pt, seg))
         return i, best_hit
     best_t = None

@@ -1,10 +1,12 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from polybounce import geom
-from polybounce.geom import EXACT, Point2, point, ray_segment_hit
-from polybounce.table import validate_table
+from polybounce.flow import RayState
+from polybounce.geom import EXACT, Point2, Vec2, point, ray_segment_hit
+from polybounce.table import INSIDE, locate_point, validate_table
 
 TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
 
@@ -28,6 +30,56 @@ def reference_first_hit(origin, d, segments):
         if h is not None and (best is None or h.t < best[1].t):
             best = (i, h)
     return best
+
+
+def reference_halton(index, base):
+    """Oracle for analysis._radical_inverse: the Halton coordinate built
+    digit by digit in Fractions."""
+    result = Fraction(0)
+    f = Fraction(1, base)
+    i = index
+    while i > 0:
+        result += f * (i % base)
+        i //= base
+        f /= base
+    return result
+
+
+def reference_sample_states(table, count, seed):
+    """Oracle for analysis.sample_states: Fraction Halton coordinates, with
+    the f64 samples rounded from them."""
+    backend = table.backend
+    xmin, ymin, xmax, ymax = table.bounding_box()
+    wx = xmax - xmin
+    wy = ymax - ymin
+    states = []
+    rejected = 0
+    index = 1 + 1000003 * (seed % (1 << 30))
+    attempts = 0
+    cap = 1000 * count + 1000
+    while len(states) < count and attempts < cap:
+        attempts += 1
+        u_x = reference_halton(index, 2)
+        u_y = reference_halton(index, 3)
+        u_t = reference_halton(index, 5)
+        u_s = reference_halton(index, 7)
+        index += 1
+        if backend == geom.EXACT:
+            pos = Point2(xmin + u_x * wx, ymin + u_y * wy)
+            t = 4 * (2 * u_t - 1)
+            d = Vec2((1 - t * t) * wx, 2 * t * wy)
+        else:
+            pos = Point2(float(xmin + u_x * wx), float(ymin + u_y * wy))
+            t = float(4 * (2 * u_t - 1))
+            d = Vec2((1.0 - t * t) * float(wx), 2.0 * t * float(wy))
+        if u_s >= Fraction(1, 2):
+            d = -d
+        kind, _ = locate_point(table, pos)
+        if kind != INSIDE:
+            rejected += 1
+            continue
+        states.append(RayState(pos, geom.renormalized(d), table))
+    return states
 
 
 @pytest.fixture

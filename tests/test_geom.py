@@ -93,6 +93,18 @@ class TestRaySegmentHit:
         with pytest.raises(DegenerateDirection):
             ray_segment_hit(P(0, 0), Vec2(F(0), F(0)), seg(0, 1, 1, 1))
 
+    def test_int_input_stays_exact(self):
+        h = ray_segment_hit(Point2(0, 0), Vec2(1, 1), Segment(Point2(3, -1), Point2(3, 5)))
+        assert h.where == INTERIOR
+        assert [type(v) for v in (h.t, h.point.x, h.point.y)] == [F, F, F]
+        assert (h.t, h.point.x, h.point.y) == (3, 3, 3)
+
+    def test_int_input_collinear_stays_exact(self):
+        h = ray_segment_hit(Point2(0, 0), Vec2(1, 0), Segment(Point2(3, 0), Point2(5, 0)))
+        assert h.where == geom.ENDPOINT_A
+        assert [type(v) for v in (h.t, h.point.x, h.point.y)] == [F, F, F]
+        assert (h.t, h.point.x, h.point.y) == (3, 3, 0)
+
     def test_infimum_no_earlier_hit_on_segment(self):
         # dense sampling below the reported parameter never lands on the segment
         rng = random.Random(7)

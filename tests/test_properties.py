@@ -4,10 +4,15 @@ from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import TABLES, reference_first_hit
-from polybounce.analysis import enumerate_generalized_diagonals, resimulate_diagonal
+from conftest import TABLES, reference_first_hit, reference_halton, reference_sample_states
+from polybounce.analysis import (
+    _radical_inverse,
+    enumerate_generalized_diagonals,
+    resimulate_diagonal,
+    sample_states,
+)
 from polybounce.flow import RayState, trace
-from polybounce.geom import EXACT, Point2, Segment, Vec2, first_hit, orientation, sign_cross
+from polybounce.geom import EXACT, F64, Point2, Segment, Vec2, first_hit, orientation, sign_cross
 from polybounce.table import load_table, validate_table
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -18,6 +23,9 @@ small_rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5
 rational_points = st.tuples(small_rationals, small_rationals)
 directions = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0))
 weights = st.lists(st.integers(1, 5), min_size=4, max_size=4)
+shipped_tables = st.sampled_from(["square", "rect21", "quad", "acute"])
+# the benchmark's sampler seeds lie in [2^24, 2^25)
+sampler_seeds = st.one_of(st.sampled_from([0, 1]), st.integers(1 << 24, (1 << 25) - 1))
 
 
 @PROPERTY
@@ -93,7 +101,31 @@ def test_time_reversal_lattice_triangles(a, b, c, w, d):
 
 
 @PROPERTY
-@given(st.sampled_from(["square", "rect21", "quad", "acute"]), weights, directions)
+@given(shipped_tables, weights, directions)
 def test_time_reversal_shipped_tables(name, w, d):
     # the shipped tables are convex, so every start drawn is inside
     _reverses(load_table(TABLES / f"{name}.table", EXACT), w, d)
+
+
+@PROPERTY
+@given(st.one_of(st.integers(0, 5000), st.integers(1 << 24, (1 << 25) - 1).map(lambda s: 1 + 1000003 * s)))
+def test_radical_inverse_matches_fraction_halton(index):
+    for base in (2, 3, 5, 7):
+        num, den = _radical_inverse(index, base)
+        u = reference_halton(index, base)
+        assert F(num, den) == u
+        power = 1
+        while power <= index:
+            power *= base
+        assert den == power
+        # the f64 sampler's position, tan-half-angle parameter and flip
+        assert num / den == float(u)
+        assert 4 * (2 * num - den) / den == float(4 * (2 * u - 1))
+        assert (2 * num >= den) == (u >= F(1, 2))
+
+
+@PROPERTY
+@given(shipped_tables, st.sampled_from([EXACT, F64]), sampler_seeds)
+def test_sample_states_match_fraction_reference(name, backend, seed):
+    table = load_table(TABLES / f"{name}.table", backend)
+    assert repr(sample_states(table, 6, seed)) == repr(reference_sample_states(table, 6, seed))
