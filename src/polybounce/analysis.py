@@ -27,11 +27,12 @@ from . import geom
 from .errors import (
     IncompleteBijection,
     NonPositiveLength,
+    StartOutsideTable,
     UnknownVertex,
     WindowMismatch,
     WindowTooLong,
 )
-from .flow import RayState, trace
+from .flow import RayState, billiard_gluing, fly, trace
 from .geom import Point2, Segment, Vec2, sign
 from .table import INSIDE, LabeledTable, locate_point
 from .unfolding import UnfoldingCorridor, unfold_word
@@ -533,7 +534,12 @@ def sample_bounce_language(
     rng_seed: int,
     margin: Optional[int] = None,
 ) -> WordLanguage:
-    """Collect all length-k factors of ``budget`` sampled bounce words."""
+    """Collect all length-k factors of ``budget`` sampled bounce words.
+
+    Each start is located once, by the sampler, and flown through
+    ``flow.fly`` with the table's mirrors, built once per call; a start
+    whose flight ends at a vertex is skipped and resampled.
+    """
     if k < 1:
         raise ValueError("window length k must be >= 1")
     if budget < 1:
@@ -546,6 +552,7 @@ def sample_bounce_language(
     collected = 0
     batches = 0
     attempted = rejected = 0
+    mirrors = billiard_gluing(table)
     # singular starts are skipped and resampled from a shifted stream; each
     # batch asks for the missing count, so collected never passes budget
     while collected < budget and batches < 50:
@@ -556,11 +563,14 @@ def sample_bounce_language(
             if state is None:
                 rejected += 1
                 continue
-            traj = trace(state, length)
-            if traj.is_singular:
+            # _halton_starts yields only starts that locate_point placed
+            # INSIDE, with a nonzero direction, so trace's start check
+            # cannot fail on them and is not repeated
+            hits, _, singular = fly(state, length, lambda: None, mirrors, StartOutsideTable)
+            if singular is not None:
                 singular_skipped += 1
                 continue
-            symbols = tuple(h.edge_label for h in traj.hits)
+            symbols = tuple(h.edge_label for h in hits)
             for i in range(len(symbols) - k + 1):
                 words.add(symbols[i : i + k])
             collected += 1

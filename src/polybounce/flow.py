@@ -1,8 +1,11 @@
 """Billiard flow: trajectory tracing, bounce words, padded-word utilities.
 
 A billiard is the glued polygon whose every edge is glued to itself by the
-reflection across it (Masur-Tabachnikov), so ``trace`` and the cutting
-sequences of ``surface`` share one flight loop, ``fly``.
+reflection across it (Masur-Tabachnikov), so ``trace``, the cutting
+sequences of ``surface`` and the bounce-language sampler of ``analysis``
+share one flight loop, ``fly``.  ``billiard_gluing`` builds a table's
+mirrors; the sampler builds them once per call and flies every start with
+them, as a cutting sequence flies with its polygon's gluing.
 
 Corner policy: a trajectory meeting a vertex terminates as singular; no
 reflection rule is invented at corners.  In float mode a hit within the
@@ -186,10 +189,15 @@ def fly(
     return hits, ends, None
 
 
+def billiard_gluing(table: LabeledTable) -> List[Tuple[int, geom.PlanarIsometry]]:
+    """The gluing for ``fly`` that makes ``table`` a billiard: every edge
+    glued to itself by the reflection across it."""
+    return [(i, geom.reflection_across(e)) for i, e in enumerate(table.edges())]
+
+
 def trace(state: RayState, max_bounces: int) -> Trajectory:
     """Deterministic forward trace for at most ``max_bounces`` reflections."""
-    edges = state.table.edges()
-    mirrors = [(i, geom.reflection_across(e)) for i, e in enumerate(edges)]
+    mirrors = billiard_gluing(state.table)
     hits, _, singular = fly(
         state, max_bounces, lambda: _check_start(state), mirrors, StartOutsideTable
     )

@@ -113,26 +113,40 @@ def _segments_touch(s1: Segment, s2: Segment) -> bool:
 
 
 def locate_point(table: LabeledTable, p: Point2):
-    """(INSIDE|OUTSIDE|ON_EDGE|ON_VERTEX, index) with the edge/vertex index."""
-    n = table.n
-    for i, v in enumerate(table.vertices):
-        if geom.points_equal(p, v):
-            return ON_VERTEX, i
-    for i in range(n):
-        if _on_segment(p, table.edge(i)):
-            return ON_EDGE, i
-    # even-odd crossing count of the rightward ray, by exact predicates
+    """(INSIDE|OUTSIDE|ON_EDGE|ON_VERTEX, index) with the edge/vertex index.
+
+    One pass over the edges: each edge a -> b gives one orientation sign of
+    p, which serves both the on-edge test and the even-odd crossing count of
+    the rightward ray.  A vertex beats an edge and the lowest-index edge
+    wins.  A point of the other backend raises BackendMismatch.
+    """
+    vertices = table.vertices
+    geom.shared_backend(p.x, p.y, vertices[0].x, vertices[0].y)
+    n = len(vertices)
+    on_edge = -1
     crossings = 0
     for i in range(n):
-        a = table.vertices[i]
-        b = table.vertices[(i + 1) % n]
+        a = vertices[i]
+        b = vertices[(i + 1) % n]
+        if geom.points_equal(p, a):
+            return ON_VERTEX, i
+        e = b - a
+        w = p - a
+        o = geom.sign_cross(e, w)
+        if o == COLLINEAR:
+            if on_edge < 0:
+                proj = w.dot(e)
+                if sign(proj) >= 0 and sign(proj - e.norm_sq()) <= 0:
+                    on_edge = i
+            continue
         a_above = sign(a.y - p.y) > 0
         b_above = sign(b.y - p.y) > 0
         if a_above == b_above:
             continue
-        o = geom.orientation(a, b, p)
-        if (sign(b.y - a.y) > 0 and o == CCW) or (sign(b.y - a.y) < 0 and o == CW):
+        if (sign(e.dy) > 0 and o == CCW) or (sign(e.dy) < 0 and o == CW):
             crossings += 1
+    if on_edge >= 0:
+        return ON_EDGE, on_edge
     return (INSIDE, -1) if crossings % 2 == 1 else (OUTSIDE, -1)
 
 

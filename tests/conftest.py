@@ -4,9 +4,16 @@ from fractions import Fraction
 import pytest
 
 from polybounce import geom
-from polybounce.flow import RayState
-from polybounce.geom import EXACT, Point2, Vec2, point, ray_segment_hit
-from polybounce.table import INSIDE, locate_point, validate_table
+from polybounce.flow import RayState, trace
+from polybounce.geom import CCW, CW, EXACT, Point2, Vec2, point, ray_segment_hit, sign
+from polybounce.table import (
+    INSIDE,
+    ON_EDGE,
+    ON_VERTEX,
+    OUTSIDE,
+    _on_segment,
+    validate_table,
+)
 
 TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
 
@@ -45,19 +52,43 @@ def reference_halton(index, base):
     return result
 
 
-def reference_sample_states(table, count, seed):
-    """Oracle for analysis.sample_states: Fraction Halton coordinates, with
-    the f64 samples rounded from them."""
+def reference_locate_point(table, p):
+    """Oracle for table.locate_point: a vertex scan, an on-edge scan, then
+    the even-odd crossing count, each in its own loop."""
+    n = table.n
+    for i, v in enumerate(table.vertices):
+        if geom.points_equal(p, v):
+            return ON_VERTEX, i
+    for i in range(n):
+        if _on_segment(p, table.edge(i)):
+            return ON_EDGE, i
+    # even-odd crossing count of the rightward ray, by exact predicates
+    crossings = 0
+    for i in range(n):
+        a = table.vertices[i]
+        b = table.vertices[(i + 1) % n]
+        a_above = sign(a.y - p.y) > 0
+        b_above = sign(b.y - p.y) > 0
+        if a_above == b_above:
+            continue
+        o = geom.orientation(a, b, p)
+        if (sign(b.y - a.y) > 0 and o == CCW) or (sign(b.y - a.y) < 0 and o == CW):
+            crossings += 1
+    return (INSIDE, -1) if crossings % 2 == 1 else (OUTSIDE, -1)
+
+
+def reference_halton_starts(table, count, seed):
+    """Oracle for analysis._halton_starts: Fraction Halton coordinates, with
+    the f64 samples rounded from them; None for each start not inside."""
     backend = table.backend
     xmin, ymin, xmax, ymax = table.bounding_box()
     wx = xmax - xmin
     wy = ymax - ymin
-    states = []
-    rejected = 0
+    found = 0
     index = 1 + 1000003 * (seed % (1 << 30))
     attempts = 0
     cap = 1000 * count + 1000
-    while len(states) < count and attempts < cap:
+    while found < count and attempts < cap:
         attempts += 1
         u_x = reference_halton(index, 2)
         u_y = reference_halton(index, 3)
@@ -74,12 +105,53 @@ def reference_sample_states(table, count, seed):
             d = Vec2((1.0 - t * t) * float(wx), 2.0 * t * float(wy))
         if u_s >= Fraction(1, 2):
             d = -d
-        kind, _ = locate_point(table, pos)
+        kind, _ = reference_locate_point(table, pos)
         if kind != INSIDE:
-            rejected += 1
+            yield None
             continue
-        states.append(RayState(pos, geom.renormalized(d), table))
-    return states
+        found += 1
+        yield RayState(pos, geom.renormalized(d), table)
+
+
+def reference_sample_states(table, count, seed):
+    """Oracle for analysis.sample_states."""
+    return [s for s in reference_halton_starts(table, count, seed) if s is not None]
+
+
+def reference_sample_bounce_language(table, k, budget, rng_seed):
+    """Oracle for analysis.sample_bounce_language: every start is traced
+    with flow.trace, which checks it again.  Returns (words, provenance)."""
+    margin = max(4, k)
+    words = set()
+    singular_skipped = collected = batches = attempted = rejected = 0
+    while collected < budget and batches < 50:
+        seed = rng_seed + 7919 * batches
+        batches += 1
+        for state in reference_halton_starts(table, budget - collected, seed):
+            attempted += 1
+            if state is None:
+                rejected += 1
+                continue
+            traj = trace(state, k + margin)
+            if traj.is_singular:
+                singular_skipped += 1
+                continue
+            symbols = tuple(h.edge_label for h in traj.hits)
+            for i in range(len(symbols) - k + 1):
+                words.add(symbols[i : i + k])
+            collected += 1
+    provenance = {
+        "seed": rng_seed,
+        "k": k,
+        "margin": margin,
+        "budget": budget,
+        "trajectories": collected,
+        "singular_skipped": singular_skipped,
+        "backend": table.backend,
+        "attempted": attempted,
+        "rejected_outside": rejected,
+    }
+    return frozenset(words), provenance
 
 
 @pytest.fixture

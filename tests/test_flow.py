@@ -6,6 +6,7 @@ import pytest
 from polybounce import geom
 from polybounce.analysis import sample_states
 from polybounce.errors import (
+    BackendMismatch,
     DegenerateDirection,
     NonIntervalSupport,
     StartOutsideTable,
@@ -95,6 +96,10 @@ class TestTrace:
     def test_start_outside(self, square):
         with pytest.raises(StartOutsideTable):
             trace(RayState(point(2, 2, EXACT), direction(0, 1, EXACT), square), 1)
+
+    def test_float_start_on_exact_table_raises(self, square):
+        with pytest.raises(BackendMismatch):
+            trace(RayState(Point2(0.0, 0.0), Vec2(0.6, 0.8), square), 3)
 
     def test_grazing_start_rejected(self, square):
         state = RayState(point(F(1, 2), 0, EXACT), direction(1, 0, EXACT), square)

@@ -1,19 +1,30 @@
 """Property tests of geometric invariants, on fixed pseudo-random examples."""
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import TABLES, reference_first_hit, reference_halton, reference_sample_states
+from conftest import (
+    TABLES,
+    reference_first_hit,
+    reference_halton,
+    reference_locate_point,
+    reference_sample_bounce_language,
+    reference_sample_states,
+)
+from polybounce import geom
 from polybounce.analysis import (
     _radical_inverse,
     enumerate_generalized_diagonals,
     resimulate_diagonal,
+    sample_bounce_language,
     sample_states,
 )
+from polybounce.errors import BilliardError
 from polybounce.flow import RayState, trace
 from polybounce.geom import EXACT, F64, Point2, Segment, Vec2, first_hit, orientation, sign_cross
-from polybounce.table import load_table, validate_table
+from polybounce.table import load_table, locate_point, validate_table
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -129,3 +140,70 @@ def test_radical_inverse_matches_fraction_halton(index):
 def test_sample_states_match_fraction_reference(name, backend, seed):
     table = load_table(TABLES / f"{name}.table", backend)
     assert repr(sample_states(table, 6, seed)) == repr(reference_sample_states(table, 6, seed))
+
+
+LSHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
+@st.composite
+def located_tables(draw):
+    """(table corners, labels): a shipped table, the L-shape or a random
+    simple lattice polygon of 3 to 6 vertices."""
+    kind = draw(st.sampled_from(["shipped", "lshape", "lattice"]))
+    if kind == "shipped":
+        return draw(shipped_tables)
+    if kind == "lshape":
+        return LSHAPE
+    corners = draw(st.lists(lattice_points, min_size=3, max_size=6, unique=True))
+    try:
+        validate_table([Point2(F(x), F(y)) for x, y in corners], range(len(corners)))
+    except BilliardError:
+        assume(False)
+    return corners
+
+
+def _located_table(spec, backend):
+    if isinstance(spec, str):
+        return load_table(TABLES / f"{spec}.table", backend)
+    corners = [geom.point(x, y, backend) for x, y in spec]
+    return validate_table(corners, [str(i) for i in range(len(spec))])
+
+
+@PROPERTY
+@given(located_tables(), st.sampled_from([EXACT, F64]), st.data())
+def test_locate_point_matches_reference(spec, backend, data):
+    table = _located_table(spec, backend)
+    vs = table.vertices
+    xmin, ymin, xmax, ymax = table.bounding_box()
+    points = list(vs)
+    for _ in range(12):
+        i = data.draw(st.integers(0, table.n - 1))
+        a, b = vs[i], vs[(i + 1) % table.n]
+        s = data.draw(st.fractions(0, 1, max_denominator=16))
+        if backend == F64:
+            s = float(s)
+        on_edge = Point2(a.x + s * (b.x - a.x), a.y + s * (b.y - a.y))
+        x = data.draw(st.fractions(math.floor(xmin) - F(1, 2), math.ceil(xmax) + F(1, 2), max_denominator=12))
+        y = data.draw(st.fractions(math.floor(ymin) - F(1, 2), math.ceil(ymax) + F(1, 2), max_denominator=12))
+        points += [on_edge, geom.point(x, y, backend)]
+        if backend == F64 and s > 0:
+            # off the edge along its normal, k times the tolerance of
+            # sign_cross(e, p - a): within it for |k| < 1, beyond it else
+            k = data.draw(st.sampled_from([-2.0, -1.1, -0.9, -0.5, 0.5, 0.9, 1.1, 2.0]))
+            e = b - a
+            l1 = abs(e.dx) + abs(e.dy)
+            off = k * geom.float_tolerance() * s * l1 * l1 / e.norm_sq()
+            points.append(Point2(on_edge.x - off * e.dy, on_edge.y + off * e.dx))
+    for p in points:
+        assert locate_point(table, p) == reference_locate_point(table, p)
+
+
+@PROPERTY
+@given(shipped_tables, st.sampled_from([EXACT, F64]), sampler_seeds, st.sampled_from([1e-9, 1e-2]))
+def test_sample_bounce_language_matches_reference(name, backend, seed, eps):
+    # the coarse tolerance makes f64 flights end at vertices, so starts are
+    # skipped as singular and resampled
+    geom.set_float_tolerance(eps)
+    table = load_table(TABLES / f"{name}.table", backend)
+    lang = sample_bounce_language(table, 3, 8, seed)
+    assert (lang.words, lang.provenance) == reference_sample_bounce_language(table, 3, 8, seed)

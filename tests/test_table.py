@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from polybounce.errors import (
+    BackendMismatch,
     DuplicateLabel,
     LabelCountMismatch,
     ParseError,
@@ -185,6 +186,10 @@ class TestLocate:
     def test_nonconvex_notch(self, lshape):
         assert locate_point(lshape, point(F(3, 2), F(3, 2), EXACT))[0] == OUTSIDE
         assert locate_point(lshape, point(F(1, 2), F(3, 2), EXACT))[0] == INSIDE
+
+    def test_float_point_on_exact_vertex_raises(self, square):
+        with pytest.raises(BackendMismatch):
+            locate_point(square, Point2(0.0, 0.0))
 
 
 class TestFiles:
