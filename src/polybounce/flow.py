@@ -5,7 +5,9 @@ reflection across it (Masur-Tabachnikov), so ``trace``, the cutting
 sequences of ``surface`` and the bounce-language sampler of ``analysis``
 share one flight loop, ``fly``.  ``billiard_gluing`` builds a table's
 mirrors; the sampler builds them once per call and flies every start with
-them, as a cutting sequence flies with its polygon's gluing.
+them, as a cutting sequence flies with its polygon's gluing.  On an exact
+table a flight puts its edges over one integer denominator once
+(``geom.edge_integers``) and hands them to every ``first_hit``.
 
 Corner policy: a trajectory meeting a vertex terminates as singular; no
 reflection rule is invented at corners.  In float mode a hit within the
@@ -169,11 +171,12 @@ def fly(
     check_start()
     table, pos, d = state.table, state.position, state.direction
     edges = table.edges()
+    edge_ints = geom.edge_integers(edges) if table.backend == geom.EXACT else None
     labels = table.labels
     hits: List[TrajectoryHit] = []
     ends: List[Point2] = []
     for _ in range(steps):
-        best = geom.first_hit(pos, d, edges)
+        best = geom.first_hit(pos, d, edges, edge_ints)
         if best is None:
             raise escape("ray escaped the polygon (inconsistent state)")
         i, h = best

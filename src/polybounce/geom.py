@@ -11,10 +11,13 @@ Directions are projective ray classes in exact mode (kept un-normalized so
 the backend stays closed under reflection); float directions are normalized
 to unit length.  All types are immutable values and all operations are pure.
 
-The exact ray kernel, ``first_hit``, puts the origin, the direction and the
-edges over common integer denominators once per call, so its per-edge tests
-are integer signs and cross-multiplications; only the winning edge builds a
-``Fraction``.
+The exact ray kernel, ``first_hit``, puts the origin and the direction over
+common integer denominators per call and the edges once per set of segments
+(``edge_integers``, which a flight computes once), so its per-edge tests are
+integer signs and cross-multiplications; only the winning edge builds a
+``Fraction``.  Exact isometries apply on integers too: the entries over one
+denominator, the point or vector over another, one ``Fraction`` per output
+coordinate.
 """
 
 from __future__ import annotations
@@ -352,7 +355,23 @@ def ray_segment_hit(origin: Point2, d: Vec2, seg: Segment) -> Optional[Hit]:
     return Hit(t, pt, _endpoint_class(pt, seg))
 
 
-def first_hit(origin: Point2, d: Vec2, segments) -> Optional[tuple]:
+def edge_integers(segments) -> tuple:
+    """(D, rows) for the exact ``first_hit``: D is the lcm of every endpoint
+    denominator and ``rows[i] = (ax, ay, ex, ey)`` puts edge i's start a and
+    its vector e = b - a over D.  A flight computes them once for its table."""
+    D = math.lcm(*[c.denominator for s in segments for c in (s.a.x, s.a.y, s.b.x, s.b.y)])
+    rows = []
+    for s in segments:
+        a, b = s.a, s.b
+        ax = a.x.numerator * (D // a.x.denominator)
+        ay = a.y.numerator * (D // a.y.denominator)
+        ex = b.x.numerator * (D // b.x.denominator) - ax
+        ey = b.y.numerator * (D // b.y.denominator) - ay
+        rows.append((ax, ay, ex, ey))
+    return D, rows
+
+
+def first_hit(origin: Point2, d: Vec2, segments, edge_ints=None) -> Optional[tuple]:
     """(index, Hit) of the earliest ray hit among ``segments``, else None.
 
     Same semantics as ray_segment_hit per segment, with the smallest t
@@ -363,8 +382,11 @@ def first_hit(origin: Point2, d: Vec2, segments) -> Optional[tuple]:
     edge a + s*e with e = (ex, ey) / D then has t = T*L / (den*D*W) and
     s = S / (den*W), with den = DX*ey - DY*ex made positive, so the per-edge
     tests are integer signs and cross-multiplications and only the winner
-    builds a Fraction.  Edges parallel to the ray (den == 0) go through
-    ray_segment_hit.
+    builds a Fraction.  The winner is an endpoint exactly when S == 0 (a) or
+    S == den*W (b), because the edge is nondegenerate.  ``edge_ints`` is
+    ``edge_integers(segments)``, which a caller flying many rays over the
+    same segments passes in; without it the call computes it.  Edges
+    parallel to the ray (den == 0) go through ray_segment_hit.
     """
     if d.is_zero():
         raise DegenerateDirection("zero direction")
@@ -372,32 +394,27 @@ def first_hit(origin: Point2, d: Vec2, segments) -> Optional[tuple]:
     ox, oy = origin.x, origin.y
     dx, dy = d.dx, d.dy
     if exact:
+        D, rows = edge_integers(segments) if edge_ints is None else edge_ints
         W = math.lcm(ox.denominator, oy.denominator)
         L = math.lcm(dx.denominator, dy.denominator)
         DX = dx.numerator * (L // dx.denominator)
         DY = dy.numerator * (L // dy.denominator)
-        D = math.lcm(*[c.denominator for s in segments for c in (s.a.x, s.a.y, s.b.x, s.b.y)])
         # the origin over D*W, so that w = a - origin is (WX, WY) / (D*W)
         XD = ox.numerator * (W // ox.denominator) * D
         YD = oy.numerator * (W // oy.denominator) * D
         # best t so far: best_T*L / (best_den*D*W); best_hit is None until
         # the end unless a parallel edge won
         winner = None
-        best_T = best_den = 0
-        for i, seg in enumerate(segments):
-            a, b = seg.a, seg.b
-            ax = a.x.numerator * (D // a.x.denominator)
-            ay = a.y.numerator * (D // a.y.denominator)
-            ex = b.x.numerator * (D // b.x.denominator) - ax
-            ey = b.y.numerator * (D // b.y.denominator) - ay
+        best_T = best_den = best_S = 0
+        for i, (ax, ay, ex, ey) in enumerate(rows):
             den = DX * ey - DY * ex
             if den == 0:
-                h = ray_segment_hit(origin, d, seg)
+                h = ray_segment_hit(origin, d, segments[i])
                 if h is not None:
                     T = h.t.numerator * D * W
                     den = h.t.denominator * L
                     if best_den == 0 or T * best_den < best_T * den:
-                        best_T, best_den, winner, best_hit = T, den, (i, seg), h
+                        best_T, best_den, winner, best_hit = T, den, i, h
                 continue
             WX = ax * W - XD
             WY = ay * W - YD
@@ -410,17 +427,22 @@ def first_hit(origin: Point2, d: Vec2, segments) -> Optional[tuple]:
             S = WX * DY - WY * DX
             if S < 0 or S > den * W:
                 continue
-            best_T, best_den, winner, best_hit = T, den, (i, seg), None
+            best_T, best_den, best_S, winner, best_hit = T, den, S, i, None
         if winner is None:
             return None
-        i, seg = winner
         if best_hit is None:
             dw = best_den * D * W
             t = Fraction(best_T * L, dw)
             pt = Point2(Fraction(XD * best_den + best_T * DX, dw),
                         Fraction(YD * best_den + best_T * DY, dw))
-            best_hit = Hit(t, pt, _endpoint_class(pt, seg))
-        return i, best_hit
+            if best_S == 0:
+                where = ENDPOINT_A
+            elif best_S == best_den * W:
+                where = ENDPOINT_B
+            else:
+                where = INTERIOR
+            best_hit = Hit(t, pt, where)
+        return winner, best_hit
     best_t = None
     best = None
     eps = _float_eps
@@ -453,6 +475,32 @@ def first_hit(origin: Point2, d: Vec2, segments) -> Optional[tuple]:
     return best
 
 
+_ZERO = Fraction(0)
+
+
+def _exact_affine(m00, m01, m10, m11, tx, ty, x, y) -> Optional[tuple]:
+    """The coordinates of M (x, y) + t, with the entries over one
+    denominator and (x, y) over another, so each coordinate is one Fraction.
+    None unless the entries are Fractions and x, y exact: then the scalar
+    expression gives Fractions too, and any other operands keep it.
+    ``apply_vec`` passes t = (_ZERO, _ZERO)."""
+    if not (Fraction is type(m00) is type(m01) is type(m10) is type(m11) is type(tx) is type(ty)
+            and type(x) in (int, Fraction) and type(y) in (int, Fraction)):
+        return None
+    d00, d01, d10, d11 = m00.denominator, m01.denominator, m10.denominator, m11.denominator
+    dtx, dty = tx.denominator, ty.denominator
+    M = math.lcm(d00, d01, d10, d11, dtx, dty)
+    xd, yd = x.denominator, y.denominator
+    V = math.lcm(xd, yd)
+    X = x.numerator * (V // xd)
+    Y = y.numerator * (V // yd)
+    den = M * V
+    return (Fraction(m00.numerator * (M // d00) * X + m01.numerator * (M // d01) * Y
+                     + tx.numerator * (M // dtx) * V, den),
+            Fraction(m10.numerator * (M // d10) * X + m11.numerator * (M // d11) * Y
+                     + ty.numerator * (M // dty) * V, den))
+
+
 @dataclass(frozen=True, slots=True)
 class PlanarIsometry:
     """x |-> M x + t with M orthogonal of determinant +/-1."""
@@ -465,12 +513,24 @@ class PlanarIsometry:
     ty: Scalar
 
     def apply(self, p: Point2) -> Point2:
+        """M p + t; on exact operands one Fraction per coordinate, built from
+        integers over common denominators (``_exact_affine``).  Float
+        isometries skip that branch at one type test."""
+        if type(self.m00) is Fraction:
+            xy = _exact_affine(self.m00, self.m01, self.m10, self.m11, self.tx, self.ty, p.x, p.y)
+            if xy is not None:
+                return Point2(*xy)
         return Point2(
             self.m00 * p.x + self.m01 * p.y + self.tx,
             self.m10 * p.x + self.m11 * p.y + self.ty,
         )
 
     def apply_vec(self, v: Vec2) -> Vec2:
+        """M v, on integers for exact operands as in ``apply``."""
+        if type(self.m00) is Fraction:
+            xy = _exact_affine(self.m00, self.m01, self.m10, self.m11, _ZERO, _ZERO, v.dx, v.dy)
+            if xy is not None:
+                return Vec2(*xy)
         return Vec2(self.m00 * v.dx + self.m01 * v.dy, self.m10 * v.dx + self.m11 * v.dy)
 
     def apply_segment(self, s: Segment) -> Segment:

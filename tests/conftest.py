@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polybounce import geom
-from polybounce.flow import RayState, trace
+from polybounce.flow import RayState, SingularHit, TrajectoryHit, trace, vertex_guard
 from polybounce.geom import CCW, CW, EXACT, Point2, Vec2, point, ray_segment_hit, sign
 from polybounce.table import (
     INSIDE,
@@ -37,6 +37,44 @@ def reference_first_hit(origin, d, segments):
         if h is not None and (best is None or h.t < best[1].t):
             best = (i, h)
     return best
+
+
+def reference_apply(iso, p):
+    """Oracle for PlanarIsometry.apply: M p + t in scalar arithmetic."""
+    return Point2(
+        iso.m00 * p.x + iso.m01 * p.y + iso.tx,
+        iso.m10 * p.x + iso.m11 * p.y + iso.ty,
+    )
+
+
+def reference_apply_vec(iso, v):
+    """Oracle for PlanarIsometry.apply_vec: M v in scalar arithmetic."""
+    return Vec2(iso.m00 * v.dx + iso.m01 * v.dy, iso.m10 * v.dx + iso.m11 * v.dy)
+
+
+def reference_fly(state, steps, check_start, gluing, escape):
+    """Oracle for flow.fly: the flight loop over reference_first_hit and the
+    scalar isometry expressions, with no per-flight set-up."""
+    if steps < 0:
+        raise ValueError("step count must be >= 0")
+    check_start()
+    table, pos, d = state.table, state.position, state.direction
+    edges = table.edges()
+    hits, ends = [], []
+    for _ in range(steps):
+        best = reference_first_hit(pos, d, edges)
+        if best is None:
+            raise escape("ray escaped the polygon (inconsistent state)")
+        i, h = best
+        ends.append(h.point)
+        v_idx = vertex_guard(table, i, h)
+        if v_idx is not None:
+            return hits, ends, SingularHit(h.t, v_idx)
+        j, iso = gluing[i]
+        d = geom.renormalized(reference_apply_vec(iso, d))
+        pos = h.point if j == i else reference_apply(iso, h.point)
+        hits.append(TrajectoryHit(table.labels[i], pos, d))
+    return hits, ends, None
 
 
 def reference_halton(index, base):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import reference_first_hit
+from conftest import reference_apply, reference_apply_vec, reference_first_hit
 from polybounce import geom
 from polybounce.errors import (
     BackendMismatch,
@@ -139,6 +139,9 @@ class TestFirstHit:
     def check(o, d, segs):
         got = geom.first_hit(o, d, segs)
         assert repr(got) == repr(reference_first_hit(o, d, segs))
+        if not isinstance(o.x, float):
+            # a flight passes the edge integers it computed once
+            assert repr(geom.first_hit(o, d, segs, geom.edge_integers(segs))) == repr(got)
         return got
 
     def test_matches_per_segment_scan(self):
@@ -302,6 +305,33 @@ class TestCompose:
     def test_backend_mismatch(self):
         with pytest.raises(BackendMismatch):
             compose(identity_isometry(EXACT), identity_isometry(F64))
+
+
+class TestApplyMixedBackends:
+    """Operands that are not all exact keep the scalar expressions."""
+
+    @staticmethod
+    def check(iso, x, y):
+        p, v = Point2(x, y), Vec2(x, y)
+        assert repr(iso.apply(p)) == repr(reference_apply(iso, p))
+        assert repr(iso.apply_vec(v)) == repr(reference_apply_vec(iso, v))
+        return iso.apply(p)
+
+    def test_exact_isometry_on_float_point(self):
+        img = self.check(reflection_across(seg(0, 0, 1, 0)), 0.3, -1.7)
+        assert (img.x, img.y) == (0.3, 1.7)
+        self.check(reflection_across(seg(F(1, 3), 0, 2, F(5, 7))), 0.3, -1.7)
+        self.check(geom.rotation_quarter_turns(1, P(F(1, 2), 3)), F(1, 3), 0.25)
+
+    def test_f64_rotation_on_float_point(self):
+        rot = geom.rotation_radians(0.7, Point2(0.5, 0.25))
+        img = self.check(rot, 0.3, -1.7)
+        assert isinstance(img.x, float)
+        self.check(rot, F(1, 3), 2)
+
+    def test_int_isometry_keeps_ints(self):
+        img = self.check(geom.PlanarIsometry(0, -1, 1, 0, 2, 0), 1, 5)
+        assert (img.x, img.y) == (-3, 1) and type(img.x) is int
 
 
 class TestScalars:

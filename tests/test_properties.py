@@ -2,18 +2,22 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     TABLES,
+    reference_apply,
+    reference_apply_vec,
     reference_first_hit,
+    reference_fly,
     reference_halton,
     reference_locate_point,
     reference_sample_bounce_language,
     reference_sample_states,
 )
-from polybounce import geom
+from polybounce import flow, geom, surface
 from polybounce.analysis import (
     _radical_inverse,
     enumerate_generalized_diagonals,
@@ -23,7 +27,18 @@ from polybounce.analysis import (
 )
 from polybounce.errors import BilliardError
 from polybounce.flow import RayState, trace
-from polybounce.geom import EXACT, F64, Point2, Segment, Vec2, first_hit, orientation, sign_cross
+from polybounce.geom import (
+    EXACT,
+    F64,
+    Point2,
+    Segment,
+    Vec2,
+    edge_integers,
+    first_hit,
+    orientation,
+    sign_cross,
+)
+from polybounce.surface import cutting_sequence, load_glued_polygon
 from polybounce.table import load_table, locate_point, validate_table
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -32,6 +47,9 @@ lattice_points = st.tuples(st.integers(0, 6), st.integers(0, 6))
 small_vectors = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 small_rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 6, 7]))
 rational_points = st.tuples(small_rationals, small_rationals)
+big_rationals = st.builds(F, st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 200))
+exact_coords = st.one_of(small_rationals, big_rationals, st.integers(-50, 50))
+segment_ends = st.one_of(lattice_points.map(lambda p: (F(p[0]), F(p[1]))), rational_points)
 directions = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0))
 weights = st.lists(st.integers(1, 5), min_size=4, max_size=4)
 shipped_tables = st.sampled_from(["square", "rect21", "quad", "acute"])
@@ -80,18 +98,84 @@ def test_exact_first_hit_matches_reference_scan(corners, o, d, aim):
         d = (corners[aim % n][0] - o[0], corners[aim % n][1] - o[1])
     assume(d != (0, 0))
     ray = Vec2(*d)
-    assert repr(first_hit(origin, ray, segs)) == repr(reference_first_hit(origin, ray, segs))
+    got = repr(first_hit(origin, ray, segs))
+    assert got == repr(reference_first_hit(origin, ray, segs))
+    assert repr(first_hit(origin, ray, segs, edge_integers(segs))) == got
+
+
+@st.composite
+def exact_isometries(draw):
+    """A reflection across a lattice or mixed-denominator segment, a
+    quarter-turn rotation or a translation, or the composite of two."""
+    def single():
+        kind = draw(st.sampled_from(["reflection", "rotation", "translation"]))
+        a = Point2(*draw(segment_ends))
+        if kind == "reflection":
+            b = Point2(*draw(segment_ends))
+            assume(a != b)
+            return geom.reflection_across(Segment(a, b))
+        if kind == "rotation":
+            return geom.rotation_quarter_turns(draw(st.integers(0, 3)), a)
+        return geom.translation(Vec2(a.x, a.y))
+
+    f = single()
+    return geom.compose(f, single()) if draw(st.booleans()) else f
+
+
+@PROPERTY
+@given(exact_isometries(), exact_coords, exact_coords)
+def test_exact_isometry_matches_scalar_expressions(iso, x, y):
+    p, v = Point2(x, y), Vec2(x, y)
+    assert repr(iso.apply(p)) == repr(reference_apply(iso, p))
+    assert repr(iso.apply_vec(v)) == repr(reference_apply_vec(iso, v))
+
+
+def _trace_matches_reference(table, w, d):
+    state = RayState(_inner_point(table.vertices, w), Vec2(F(d[0]), F(d[1])), table)
+    got = repr(trace(state, 300))
+    with mock.patch.object(flow, "fly", reference_fly):
+        assert got == repr(trace(state, 300))
+
+
+@PROPERTY
+@given(shipped_tables, weights, directions)
+def test_exact_trace_matches_reference_fly_shipped_tables(name, w, d):
+    _trace_matches_reference(load_table(TABLES / f"{name}.table", EXACT), w, d)
+
+
+@PROPERTY
+@given(lattice_points, lattice_points, lattice_points, weights, directions)
+def test_exact_trace_matches_reference_fly_lattice_triangles(a, b, c, w, d):
+    exact = [Point2(F(x), F(y)) for x, y in (a, b, c)]
+    assume(orientation(*exact) != 0)
+    _trace_matches_reference(validate_table(exact, ["a", "b", "c"]), w, d)
+
+
+@PROPERTY
+@given(st.sampled_from(["torus", "octagon"]), weights, directions)
+def test_exact_cutting_sequence_matches_reference_fly(name, w, d):
+    gp = load_glued_polygon(TABLES / f"{name}.surface", EXACT)
+    vs = gp.polygon.vertices
+    # the octagon has 8 vertices: weight every other one
+    start = _inner_point(vs[:: len(vs) // 4], w)
+    ray = Vec2(F(d[0]), F(d[1]))
+    got = repr(cutting_sequence(gp, start, ray, 300))
+    with mock.patch.object(surface, "fly", reference_fly):
+        assert got == repr(cutting_sequence(gp, start, ray, 300))
+
+
+def _inner_point(vertices, w):
+    # a convex combination with positive weights: inside a convex polygon
+    total = sum(w[: len(vertices)])
+    return Point2(sum(k * v.x for k, v in zip(w, vertices)) / total,
+                  sum(k * v.y for k, v in zip(w, vertices)) / total)
 
 
 def _reverses(table, w, d):
     """Trace 40 bounces from a convex combination of the vertices, then fly
     back from the last hit point against the incoming direction."""
     vs = table.vertices
-    total = sum(w[: len(vs)])
-    start = Point2(
-        sum(k * v.x for k, v in zip(w, vs)) / total, sum(k * v.y for k, v in zip(w, vs)) / total
-    )
-    forward = trace(RayState(start, Vec2(F(d[0]), F(d[1])), table), 40)
+    forward = trace(RayState(_inner_point(vs, w), Vec2(F(d[0]), F(d[1])), table), 40)
     hits = forward.hits
     legs = [forward.start.direction] + [h.direction for h in hits]
     if forward.is_singular:
