@@ -246,14 +246,12 @@ def _intersect_with_window(cone: _Cone, wa: Vec2, wb: Vec2) -> Optional[_Cone]:
             lo_cands.append((cone.lo, False))
         else:
             lo_cands.append((wa, False))
+    # node cones are open at hi, so the upper bound is never closed
     hi_cands = []
     if window.contains(cone.hi):
-        hi_cands.append((cone.hi, cone.hi_closed))
+        hi_cands.append(cone.hi)
     if closed.contains(wb):
-        if _same_ray(wb, cone.hi):
-            hi_cands.append((cone.hi, False))
-        else:
-            hi_cands.append((wb, False))
+        hi_cands.append(cone.hi if _same_ray(wb, cone.hi) else wb)
     if not lo_cands or not hi_cands:
         return None
     # the most counterclockwise lower bound
@@ -264,17 +262,12 @@ def _intersect_with_window(cone: _Cone, wa: Vec2, wb: Vec2) -> Optional[_Cone]:
         elif geom.sign_cross(lo, d) > 0:
             lo, lo_closed = d, cl
     # the most clockwise upper bound
-    hi, hi_closed = hi_cands[0]
-    for d, cl in hi_cands[1:]:
-        if _same_ray(d, hi):
-            hi_closed = hi_closed and cl
-        elif geom.sign_cross(d, hi) > 0:
-            hi, hi_closed = d, cl
-    c = geom.sign_cross(lo, hi)
-    if c > 0:
-        return _Cone(lo, hi, lo_closed, hi_closed)
-    if c == 0 and lo_closed and hi_closed and sign(lo.dot(hi)) > 0:
-        return _Cone(lo, hi, True, True)
+    hi = hi_cands[0]
+    for d in hi_cands[1:]:
+        if geom.sign_cross(d, hi) > 0:
+            hi = d
+    if geom.sign_cross(lo, hi) > 0:
+        return _Cone(lo, hi, lo_closed)
     return None
 
 
@@ -427,23 +420,13 @@ def enumerate_generalized_diagonals(
     return records
 
 
-def resimulate_diagonal(
-    table: LabeledTable, record: DiagonalRecord, offset=None
-) -> bool:
-    """Independent check of a diagonal by tracing the billiard flow.
-
-    Exact backend: trace from the source vertex itself; float backend: pass
-    ``offset`` to start slightly inside along the segment direction.  The
-    trace must reproduce the word and terminate singularly at the folded
-    target vertex.
+def resimulate_diagonal(table: LabeledTable, record: DiagonalRecord) -> bool:
+    """Independent check of a diagonal by tracing the billiard flow from the
+    source vertex.  The trace must reproduce the word and terminate
+    singularly at the folded target vertex.
     """
     v0 = table.vertices[record.source_vertex]
-    d = record.target_image - v0
-    pos = v0
-    if offset is not None:
-        unit = geom.renormalized(d)
-        pos = Point2(v0.x + offset * unit.dx, v0.y + offset * unit.dy)
-    state = RayState(pos, geom.renormalized(d), table)
+    state = RayState(v0, geom.renormalized(record.target_image - v0), table)
     traj = trace(state, len(record.word) + 1)
     if not traj.is_singular:
         return False
@@ -532,7 +515,6 @@ def sample_bounce_language(
     k: int,
     budget: int,
     rng_seed: int,
-    margin: Optional[int] = None,
 ) -> WordLanguage:
     """Collect all length-k factors of ``budget`` sampled bounce words.
 
@@ -544,8 +526,7 @@ def sample_bounce_language(
         raise ValueError("window length k must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if margin is None:
-        margin = max(4, k)
+    margin = max(4, k)
     length = k + margin
     words: Set[Tuple[str, ...]] = set()
     singular_skipped = 0

@@ -57,18 +57,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _state(args, table) -> RayState:
+def _start_and_dir(args):
+    """``--start`` and ``--dir`` as (point, direction) on the chosen backend."""
     b = args.backend
     pos = Point2(geom.parse_scalar(args.start[0], b), geom.parse_scalar(args.start[1], b))
     d = geom.direction(
         geom.parse_scalar(args.dir[0], b), geom.parse_scalar(args.dir[1], b), b
     )
-    return RayState(pos, d, table)
+    return pos, d
 
 
 def cmd_bounce(args, out, err) -> int:
     table = load_table(args.table, args.backend)
-    state = _state(args, table)
+    state = RayState(*_start_and_dir(args), table)
     traj = trace(state, args.bounces)
     word = bounce_word(traj)
     print(format_word(word.symbols), file=out)
@@ -186,14 +187,7 @@ def cmd_compare(args, out, err) -> int:
 
 def cmd_cutting(args, out, err) -> int:
     gp = load_glued_polygon(args.surface, args.backend)
-    b = args.backend
-    start = Point2(
-        geom.parse_scalar(args.start[0], b), geom.parse_scalar(args.start[1], b)
-    )
-    d = geom.direction(
-        geom.parse_scalar(args.dir[0], b), geom.parse_scalar(args.dir[1], b), b
-    )
-    word = cutting_sequence(gp, start, d, args.crossings)
+    word = cutting_sequence(gp, *_start_and_dir(args), args.crossings)
     print(format_word(word.symbols), file=out)
     if word.singular:
         print("# singular", file=out)
@@ -306,7 +300,7 @@ def main(argv=None, out=None, err=None) -> int:
     except BilliardError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

@@ -104,7 +104,10 @@ def parse_scalar(text: str, backend: str) -> Scalar:
         raise ParseError(f"bad number literal {text!r}") from exc
     if backend == EXACT:
         return value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"number literal {text!r} is out of float range") from exc
 
 
 def format_scalar(value: Scalar) -> str:

@@ -39,7 +39,32 @@ from .table import (
     strip_comment,
     validate_table,
 )
-from .unfolding import UnionFind
+
+
+class UnionFind:
+    """Disjoint sets over hashable items."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def classes(self):
+        groups: Dict[object, list] = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
 
 
 @dataclass(frozen=True, slots=True)

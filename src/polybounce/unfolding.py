@@ -12,7 +12,10 @@ Two constructions:
   denominators), glued edge-to-edge by translations.  The copy/gluing
   combinatorics is computed symbolically from edge direction classes mod
   pi/N; plane placements come from an exact reflection spanning tree, so
-  every gluing translation is exact on the exact backend.
+  every gluing translation is exact on the exact backend.  The cone points
+  follow from the angles (Masur and Tabachnikov, "Rational billiards and
+  flat structures", 2002): a vertex of angle (p/q) pi, in lowest terms,
+  gives N/q cone points, each of angle 2 p pi.
 """
 
 from __future__ import annotations
@@ -161,32 +164,6 @@ class TranslationSurface:
         return all(c.exceeds_two_pi for c in self.cone_points)
 
 
-class UnionFind:
-    """Disjoint sets over hashable items."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def classes(self):
-        groups: Dict[object, list] = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
-
-
 def _edge_direction_classes(angles: Sequence[Fraction], n_lcm: int) -> List[int]:
     """Direction class m_j of edge j (multiples of pi/N mod N), from m_0 = 0;
     crossing vertex j turns the edge line by -angle_j mod pi."""
@@ -216,51 +193,24 @@ def build_rational_unfolding(
     angles: Sequence[Fraction] = cls.angle_data
     m = _edge_direction_classes(angles, n_lcm)
 
+    # with the cone points below, Gauss-Bonnet holds iff sum(angles) = n - 2
+    assert sum(angles) == n - 2, "inconsistent angle sum"
+    cone_points = [
+        ConePointClass(i, Fraction(2 * a.numerator), n_lcm // a.denominator)
+        for i, a in enumerate(angles)
+    ]
+    # V - E + F with E = n N (2N copies, n edges each, glued in pairs), F = 2N
+    euler = sum(c.multiplicity for c in cone_points) - n * n_lcm + 2 * n_lcm
+    genus = (2 - euler) // 2
+
     copies = [
         DihedralElement(k, flip)
         for flip in (False, True)
         for k in range(n_lcm)
     ]
-    copies.sort(key=DihedralElement.sort_key)
 
     def partner(g: DihedralElement, j: int) -> DihedralElement:
         return g.mul_reflection(m[j], n_lcm)
-
-    # vertex classes of the glued complex: edge e_j of copy g is identified
-    # with edge e_j of partner(g, j), matching endpoints v_j and v_{j+1}
-    uf = UnionFind([(g, i) for g in copies for i in range(n)])
-    for g in copies:
-        for j in range(n):
-            h = partner(g, j)
-            uf.union((g, j), (h, j))
-            uf.union((g, (j + 1) % n), (h, (j + 1) % n))
-
-    classes = uf.classes()
-    cone_by_vertex: Dict[int, List[int]] = {}
-    for cl in classes:
-        i = cl[0][1]
-        assert all(member[1] == i for member in cl)
-        cone_by_vertex.setdefault(i, []).append(len(cl))
-    cone_points = []
-    for i in range(n):
-        sizes = cone_by_vertex[i]
-        assert len(set(sizes)) == 1
-        sizes_each = sizes[0]
-        angle_over_pi = angles[i] * sizes_each  # cone angle / pi
-        cone_points.append(ConePointClass(i, angle_over_pi, len(sizes)))
-
-    v_count = len(classes)
-    e_count = n * n_lcm  # 2N copies * n edges, glued in pairs
-    f_count = 2 * n_lcm
-    euler = v_count - e_count + f_count
-    assert euler % 2 == 0
-    genus = (2 - euler) // 2
-
-    # Gauss-Bonnet consistency of the combinatorics
-    excess = sum(
-        Fraction(2) - c.angle_over_pi for c in cone_points for _ in range(c.multiplicity)
-    )
-    assert excess == Fraction(2 * euler)
 
     # plane placements via a reflection spanning tree (exact backend stays exact)
     placements: Dict[DihedralElement, PlanarIsometry] = {}
@@ -278,16 +228,11 @@ def build_rational_unfolding(
             queue.append(h)
     assert len(placements) == 2 * n_lcm
 
+    # partner() always flips, so each glued pair has one unflipped copy
     gluings = []
-    seen = set()
-    for g in copies:
+    for a in copies[:n_lcm]:
         for j in range(n):
-            h = partner(g, j)
-            key = frozenset({(g, j), (h, j)})
-            if key in seen:
-                continue
-            seen.add(key)
-            a, b = sorted((g, h), key=DihedralElement.sort_key)
+            b = partner(a, j)
             va = placements[a].apply(table.vertices[j])
             vb = placements[b].apply(table.vertices[j])
             gluings.append(Gluing(a, b, table.labels[j], vb - va))

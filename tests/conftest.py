@@ -1,18 +1,43 @@
+import math
 import pathlib
+from collections import deque
 from fractions import Fraction
+from typing import Dict, List, Sequence
 
 import pytest
 
 from polybounce import geom
+from polybounce.errors import NExceedsBound, NotRational
 from polybounce.flow import RayState, SingularHit, TrajectoryHit, trace, vertex_guard
-from polybounce.geom import CCW, CW, EXACT, Point2, Vec2, point, ray_segment_hit, sign
+from polybounce.geom import (
+    CCW,
+    CW,
+    EXACT,
+    PlanarIsometry,
+    Point2,
+    Vec2,
+    point,
+    ray_segment_hit,
+    sign,
+)
+from polybounce.surface import UnionFind
 from polybounce.table import (
+    DEFAULT_ORDER_BOUND,
     INSIDE,
     ON_EDGE,
     ON_VERTEX,
     OUTSIDE,
+    LabeledTable,
     _on_segment,
+    classify_table,
     validate_table,
+)
+from polybounce.unfolding import (
+    ConePointClass,
+    DihedralElement,
+    Gluing,
+    TranslationSurface,
+    _edge_direction_classes,
 )
 
 TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
@@ -190,6 +215,139 @@ def reference_sample_bounce_language(table, k, budget, rng_seed):
         "rejected_outside": rejected,
     }
     return frozenset(words), provenance
+
+
+def reference_build_rational_unfolding(
+    table: LabeledTable,
+    order_bound: int = DEFAULT_ORDER_BOUND,
+) -> TranslationSurface:
+    """Oracle for unfolding.build_rational_unfolding: the cone points found
+    by a union-find over all (copy, vertex) slots, then checked against the
+    angles by Gauss-Bonnet."""
+    cls = classify_table(table, order_bound=order_bound)
+    if not cls.is_rational:
+        raise NotRational(
+            "table is not rational"
+            + ("" if cls.certified else f" (no angle order <= {order_bound})")
+        )
+    n_lcm = cls.N
+    if n_lcm > order_bound:
+        raise NExceedsBound(f"N = {n_lcm} exceeds bound {order_bound}")
+    n = table.n
+    angles: Sequence[Fraction] = cls.angle_data
+    m = _edge_direction_classes(angles, n_lcm)
+
+    copies = [
+        DihedralElement(k, flip)
+        for flip in (False, True)
+        for k in range(n_lcm)
+    ]
+    copies.sort(key=DihedralElement.sort_key)
+
+    def partner(g: DihedralElement, j: int) -> DihedralElement:
+        return g.mul_reflection(m[j], n_lcm)
+
+    # vertex classes of the glued complex: edge e_j of copy g is identified
+    # with edge e_j of partner(g, j), matching endpoints v_j and v_{j+1}
+    uf = UnionFind([(g, i) for g in copies for i in range(n)])
+    for g in copies:
+        for j in range(n):
+            h = partner(g, j)
+            uf.union((g, j), (h, j))
+            uf.union((g, (j + 1) % n), (h, (j + 1) % n))
+
+    classes = uf.classes()
+    cone_by_vertex: Dict[int, List[int]] = {}
+    for cl in classes:
+        i = cl[0][1]
+        assert all(member[1] == i for member in cl)
+        cone_by_vertex.setdefault(i, []).append(len(cl))
+    cone_points = []
+    for i in range(n):
+        sizes = cone_by_vertex[i]
+        assert len(set(sizes)) == 1
+        sizes_each = sizes[0]
+        angle_over_pi = angles[i] * sizes_each  # cone angle / pi
+        cone_points.append(ConePointClass(i, angle_over_pi, len(sizes)))
+
+    v_count = len(classes)
+    e_count = n * n_lcm  # 2N copies * n edges, glued in pairs
+    f_count = 2 * n_lcm
+    euler = v_count - e_count + f_count
+    assert euler % 2 == 0
+    genus = (2 - euler) // 2
+
+    # Gauss-Bonnet consistency of the combinatorics
+    excess = sum(
+        Fraction(2) - c.angle_over_pi for c in cone_points for _ in range(c.multiplicity)
+    )
+    assert excess == Fraction(2 * euler)
+
+    # plane placements via a reflection spanning tree (exact backend stays exact)
+    placements: Dict[DihedralElement, PlanarIsometry] = {}
+    root = DihedralElement(0, False)
+    placements[root] = geom.identity_isometry(table.backend)
+    reflections = [geom.reflection_across(table.edge(j)) for j in range(n)]
+    queue = deque([root])
+    while queue:
+        g = queue.popleft()
+        for j in range(n):
+            h = partner(g, j)
+            if h in placements:
+                continue
+            placements[h] = geom.compose(placements[g], reflections[j])
+            queue.append(h)
+    assert len(placements) == 2 * n_lcm
+
+    gluings = []
+    seen = set()
+    for g in copies:
+        for j in range(n):
+            h = partner(g, j)
+            key = frozenset({(g, j), (h, j)})
+            if key in seen:
+                continue
+            seen.add(key)
+            a, b = sorted((g, h), key=DihedralElement.sort_key)
+            va = placements[a].apply(table.vertices[j])
+            vb = placements[b].apply(table.vertices[j])
+            gluings.append(Gluing(a, b, table.labels[j], vb - va))
+    gluings.sort(key=lambda gl: (gl.copy_a.sort_key(), gl.copy_b.sort_key(), gl.edge_label))
+
+    return TranslationSurface(
+        table=table,
+        N=n_lcm,
+        copies=tuple(copies),
+        placements=placements,
+        gluings=tuple(gluings),
+        cone_points=tuple(cone_points),
+        genus=genus,
+        euler_characteristic=euler,
+        is_npc=all(c.angle_over_pi >= 2 for c in cone_points),
+    )
+
+
+def staircase_table(xs, ys):
+    """Right-angled staircase of len(xs) steps: corners (xs[-1], 0) and
+    (0, ys[-1]) on the axes; xs and ys strictly increasing.  Two steps make
+    an L-shape."""
+    k = len(xs)
+    corners = [(0, 0), (xs[-1], 0)]
+    for i in range(k):
+        corners.append((xs[k - 1 - i], ys[i]))
+        if i < k - 1:
+            corners.append((xs[k - 2 - i], ys[i]))
+    corners.append((0, ys[-1]))
+    labels = "abcdefghijkl"[: len(corners)]
+    return validate_table(exact_points(corners), list(labels), f"stair{k}")
+
+
+def pi_triangle(p1, p2, q):
+    """f64 triangle with angles p1 pi/q at (0, 0) and p2 pi/q at (1, 0)."""
+    alpha, beta = p1 * math.pi / q, p2 * math.pi / q
+    t = math.sin(beta) / math.sin(alpha + beta)
+    corners = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(t * math.cos(alpha), t * math.sin(alpha))]
+    return validate_table(corners, list("abc"), f"tri{p1}_{p2}_{q}")
 
 
 @pytest.fixture

@@ -175,6 +175,38 @@ class TestErrors:
                             "--dir", "1", "1", "--bounces", "1"])
         assert code == 1 and "ParseError" in err
 
+    @pytest.mark.parametrize("where", ["start", "table", "max-len"])
+    def test_float_overflow_exit_1(self, where, tmp_path):
+        table = tmp_path / "huge.table"
+        table.write_text("vertex 0 0\nvertex 1e400 0\nvertex 0 1\nlabels a b c\n")
+        argv = {
+            "start": self.BOUNCE[:4] + ["1e400", "0", "--dir", "1", "1", "--bounces", "1"],
+            "table": ["bounce", "--table", str(table), "--start", "0", "0",
+                      "--dir", "1", "1", "--bounces", "1"],
+            "max-len": ["diagonals", "--table", SQUARE, "--vertex", "0", "--max-len", "1e400"],
+        }[where]
+        code, out, err = run(argv + ["--backend", "f64"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ParseError") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--table", "--surface", "--language"])
+    def test_not_utf8_exit_1(self, flag, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe vertex 0 0\n")
+        ok = tmp_path / "ok.txt"
+        ok.write_text("")
+        argv = {
+            "--table": ["bounce", "--table", str(bad), "--start", "0", "0",
+                        "--dir", "1", "1", "--bounces", "1"],
+            "--surface": ["cutting", "--surface", str(bad), "--start", "0", "0",
+                          "--dir", "1", "1", "--crossings", "1"],
+            "--language": ["flag-singular", "--language", str(bad),
+                           "--diagonals", str(ok), "--suffix", "1"],
+        }[flag]
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestEpsFlag:
     def test_eps_widens_the_vertex_guard(self):

@@ -10,6 +10,7 @@ from polybounce.errors import (
     BackendMismatch,
     DegenerateDirection,
     DegenerateSegment,
+    ParseError,
 )
 from polybounce.geom import (
     CCW,
@@ -342,6 +343,12 @@ class TestScalars:
 
     def test_parse_float(self):
         assert geom.parse_scalar("1/4", F64) == 0.25
+
+    def test_parse_float_out_of_range(self):
+        assert geom.parse_scalar("1e400", EXACT) == 10**400
+        for text in ("1e400", "-1e400", "10" * 200 + "/3"):
+            with pytest.raises(ParseError):
+                geom.parse_scalar(text, F64)
 
     def test_format(self):
         assert geom.format_scalar(F(3, 1)) == "3"

@@ -1,5 +1,6 @@
 """Property tests of geometric invariants, on fixed pseudo-random examples."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 from unittest import mock
@@ -8,14 +9,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     TABLES,
+    pi_triangle,
     reference_apply,
     reference_apply_vec,
+    reference_build_rational_unfolding,
     reference_first_hit,
     reference_fly,
     reference_halton,
     reference_locate_point,
     reference_sample_bounce_language,
     reference_sample_states,
+    staircase_table,
 )
 from polybounce import flow, geom, surface
 from polybounce.analysis import (
@@ -40,6 +44,7 @@ from polybounce.geom import (
 )
 from polybounce.surface import cutting_sequence, load_glued_polygon
 from polybounce.table import load_table, locate_point, validate_table
+from polybounce.unfolding import build_rational_unfolding, format_surface
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -291,3 +296,31 @@ def test_sample_bounce_language_matches_reference(name, backend, seed, eps):
     table = load_table(TABLES / f"{name}.table", backend)
     lang = sample_bounce_language(table, 3, 8, seed)
     assert (lang.words, lang.provenance) == reference_sample_bounce_language(table, 3, 8, seed)
+
+
+@st.composite
+def staircases(draw):
+    """Right-angled staircase of 1 to 4 steps on small integers; the
+    2-step ones are L-shapes."""
+    k = draw(st.integers(1, 4))
+    steps = st.lists(st.integers(1, 9), min_size=k, max_size=k, unique=True).map(sorted)
+    return staircase_table(draw(steps), draw(steps))
+
+
+@st.composite
+def pi_triangles(draw):
+    """f64 triangle with angles p1 pi/q, p2 pi/q and the rest, q <= 12."""
+    q = draw(st.integers(3, 12))
+    p1 = draw(st.integers(1, q - 2))
+    p2 = draw(st.integers(1, q - 1 - p1))
+    return pi_triangle(p1, p2, q)
+
+
+@PROPERTY
+@given(st.one_of(staircases(), pi_triangles()))
+def test_rational_unfolding_matches_reference(table):
+    ts = build_rational_unfolding(table)
+    ref = reference_build_rational_unfolding(table)
+    assert format_surface(ts) == format_surface(ref)
+    for f in dataclasses.fields(ts):
+        assert repr(getattr(ts, f.name)) == repr(getattr(ref, f.name)), f.name

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 import pytest
+from conftest import pi_triangle, staircase_table
 from polybounce import geom
 from polybounce.analysis import sample_states
 from polybounce.errors import (
@@ -178,6 +179,14 @@ def euler_characteristic_from_export(text):
     f = len(copies)
     chi = v - e + f
     return chi, genus_line
+# (table, genus): an L-shape, a 4-step staircase and two f64 triangles with
+# angles (1, 2, 4) pi/7 and (2, 3, 7) pi/12
+EXTRA_RATIONAL = (
+    (staircase_table([1, 3], [2, 3]), 2),
+    (staircase_table([1, 2, 4, 5], [1, 3, 4, 6]), 4),
+    (pi_triangle(1, 2, 7), 3),
+    (pi_triangle(2, 3, 12), 4),
+)
 class TestRationalUnfolding:
     def test_square_torus(self, square):
         ts = build_rational_unfolding(square)
@@ -223,7 +232,7 @@ class TestRationalUnfolding:
                 seen.add(key)
         assert len(seen) == 2 * ts.N * square.n
     def test_gauss_bonnet(self, square):
-        for table in (square,):
+        for table in (square, *(t for t, _ in EXTRA_RATIONAL)):
             ts = build_rational_unfolding(table)
             excess = sum(
                 (2 - c.angle_over_pi) * c.multiplicity for c in ts.cone_points
@@ -234,7 +243,7 @@ class TestRationalUnfolding:
         tri5 = validate_table(
             [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, h5)], list("abc")
         )
-        for table, genus in ((square, 1), (tri5, 2)):
+        for table, genus in ((square, 1), (tri5, 2), *EXTRA_RATIONAL):
             ts = build_rational_unfolding(table)
             chi, exported_genus = euler_characteristic_from_export(format_surface(ts))
             assert chi == ts.euler_characteristic
