@@ -6,8 +6,9 @@
   re-validated by tracing before being returned.
 
 * enumerate_generalized_diagonals: breadth-first search over the unfolding
-  tree rooted at a source vertex, maintaining the open angular sector that
-  subtends the intersection of all gates crossed so far.
+  tree rooted at a source vertex, one exact sweep per unfolded copy: the
+  copy's vertex images split the sector of rays entering it into cells of
+  one exit edge each, so every record is a diagonal by construction.
 
 * sample_bounce_language / compare_spectra: quasi-random finite-window
   sampling of the bounce spectrum and exact comparison under a label map.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -206,73 +208,28 @@ class DiagonalRecord:
     length_sq: geom.Scalar
 
 
-@dataclass(frozen=True, slots=True)
-class _Cone:
-    """Open/closed angular sector of width < pi, apex at the source vertex."""
-
-    lo: Vec2
-    hi: Vec2
-    lo_closed: bool = False
-    hi_closed: bool = False
-
-    def contains(self, d: Vec2) -> bool:
-        c1 = geom.sign_cross(self.lo, d)
-        if c1 < 0:
-            return False
-        if c1 == 0 and not (self.lo_closed and sign(self.lo.dot(d)) > 0):
-            return False
-        c2 = geom.sign_cross(d, self.hi)
-        if c2 < 0:
-            return False
-        if c2 == 0 and not (self.hi_closed and sign(d.dot(self.hi)) > 0):
-            return False
-        return True
+def _between(u: Vec2, v: Vec2, d: Vec2) -> bool:
+    """Is d strictly inside the sector narrower than pi that u and v bound?"""
+    s = geom.sign_cross(u, v)
+    return s != 0 and geom.sign_cross(u, d) == s and geom.sign_cross(d, v) == s
 
 
-def _same_ray(u: Vec2, v: Vec2) -> bool:
-    return geom.sign_cross(u, v) == 0 and sign(u.dot(v)) > 0
+def _first_exit(v0: Point2, d: Vec2, sides: Sequence[Segment], entry: Optional[int]):
+    """(index, Hit) of the first of a copy's ``sides`` that the ray from v0
+    along d meets after it enters the copy through side ``entry``; the root
+    copy (entry None) is entered at v0."""
+    origin = v0
+    if entry is not None:
+        gate = sides[entry]
+        e = gate.direction()
+        lam = (gate.a - v0).cross(e) / d.cross(e)
+        origin = Point2(v0.x + lam * d.dx, v0.y + lam * d.dy)
+    return geom.first_hit(origin, d, sides)
 
 
-def _intersect_with_window(cone: _Cone, wa: Vec2, wb: Vec2) -> Optional[_Cone]:
-    """Intersection of the cone with the open window (wa, wb), width < pi."""
-    # candidate bounds are tested against the closures of both sectors
-    window = _Cone(wa, wb, True, True)
-    closed = _Cone(cone.lo, cone.hi, True, True)
-    lo_cands = []
-    if window.contains(cone.lo):
-        lo_cands.append((cone.lo, cone.lo_closed))
-    if closed.contains(wa):
-        if _same_ray(wa, cone.lo):
-            lo_cands.append((cone.lo, False))
-        else:
-            lo_cands.append((wa, False))
-    # node cones are open at hi, so the upper bound is never closed
-    hi_cands = []
-    if window.contains(cone.hi):
-        hi_cands.append(cone.hi)
-    if closed.contains(wb):
-        hi_cands.append(cone.hi if _same_ray(wb, cone.hi) else wb)
-    if not lo_cands or not hi_cands:
-        return None
-    # the most counterclockwise lower bound
-    lo, lo_closed = lo_cands[0]
-    for d, cl in lo_cands[1:]:
-        if _same_ray(d, lo):
-            lo_closed = lo_closed and cl
-        elif geom.sign_cross(lo, d) > 0:
-            lo, lo_closed = d, cl
-    # the most clockwise upper bound
-    hi = hi_cands[0]
-    for d in hi_cands[1:]:
-        if geom.sign_cross(d, hi) > 0:
-            hi = d
-    if geom.sign_cross(lo, hi) > 0:
-        return _Cone(lo, hi, lo_closed)
-    return None
-
-
-def _initial_cones(table: LabeledTable, vertex: int) -> List[_Cone]:
-    """The interior sector at the source vertex, split into sectors < pi."""
+def _initial_cones(table: LabeledTable, vertex: int) -> List[Tuple[Vec2, Vec2, bool]]:
+    """The interior sector at the source vertex, split into sectors < pi:
+    (lo, hi, lo_closed), each open at hi."""
     fwd = table.edge(vertex).direction()
     back = -table.edge((vertex - 1) % table.n).direction()
     cones = []
@@ -281,53 +238,10 @@ def _initial_cones(table: LabeledTable, vertex: int) -> List[_Cone]:
     # keep splitting a quarter turn at a time until the remainder is < pi
     while not geom.sign_cross(lo, back) > 0:
         mid = lo.perp()
-        cones.append(_Cone(lo, mid, lo_closed, False))
+        cones.append((lo, mid, lo_closed))
         lo, lo_closed = mid, True
-    cones.append(_Cone(lo, back, lo_closed, False))
+    cones.append((lo, back, lo_closed))
     return cones
-
-
-def _segment_blocked(
-    v0: Point2, target: Point2, placements: Sequence[geom.PlanarIsometry],
-    table: LabeledTable,
-) -> bool:
-    """Does some developed vertex image lie strictly between v0 and target?"""
-    d = target - v0
-    dd = d.norm_sq()
-    for placement in placements:
-        for v in table.vertices:
-            u = placement.apply(v)
-            if geom.points_equal(u, v0) or geom.points_equal(u, target):
-                continue
-            if geom.orientation(v0, u, target) != geom.COLLINEAR:
-                continue
-            proj = (u - v0).dot(d)
-            if sign(proj) > 0 and sign(proj - dd) < 0:
-                return True
-    return False
-
-
-def _crossings_valid(
-    v0: Point2, target: Point2, gates: Sequence[Segment]
-) -> bool:
-    """The segment v0 -> target must cross every gate interior, in order,
-    at strictly increasing parameters inside (0, 1)."""
-    d = target - v0
-    prev = 0
-    for gate in gates:
-        e = gate.direction()
-        if geom.sign_cross(d, e) == 0:
-            return False
-        denom = d.cross(e)
-        w = gate.a - v0
-        lam = w.cross(e) / denom
-        sigma = w.cross(d) / denom
-        if sign(sigma) <= 0 or sign(sigma - 1) >= 0:
-            return False
-        if sign(lam - prev) <= 0 or sign(lam - 1) >= 0:
-            return False
-        prev = lam
-    return True
 
 
 def enumerate_generalized_diagonals(
@@ -338,13 +252,25 @@ def enumerate_generalized_diagonals(
 ) -> List[DiagonalRecord]:
     """All generalized diagonals from a vertex, up to a Euclidean length.
 
-    Breadth-first search over the unfolding tree: each node carries the
-    placement of its copy, the gates crossed so far, and the surviving open
-    sector at the source vertex.  Branches die when the sector empties or
-    the next gate is already beyond ``max_length``.  Every emission is
-    validated against the crossing invariant (all gates crossed in order,
-    through their interiors, with no earlier vertex image on the segment).
-    Output is sorted by squared length, then lexicographic word.
+    Breadth-first search over the unfolding tree.  A node is a copy of the
+    table (its placement and word), the edge it was entered through, and the
+    sector at the source vertex of exactly the rays that enter it: open,
+    narrower than pi, and closed at its lower bound only where the initial
+    split put that bound.  Inside one copy the edge a ray leaves through
+    changes only at the copy's vertex images, so each node is one exact
+    sweep:
+
+    * a vertex image in the sector is a critical direction iff the ray
+      towards it reaches it before any edge of the copy; within
+      ``max_length`` it is a record;
+    * between two consecutive critical directions one exit edge holds, and
+      each such cell is a child, entered through that edge.  A convex copy
+      reads the edge off the edge windows; otherwise one exact
+      ``first_hit`` along the cell's middle ray finds it.
+
+    Records are diagonals by construction.  Branches die when the exit edge
+    is already beyond ``max_length``.  Output is sorted by squared length,
+    then lexicographic word.
     """
     if not 0 <= source_vertex < table.n:
         raise UnknownVertex(f"vertex index {source_vertex} out of range")
@@ -353,65 +279,69 @@ def enumerate_generalized_diagonals(
     if sign(max_length) <= 0:
         raise NonPositiveLength("max_length must be positive")
     limit_sq = max_length * max_length
+    n = table.n
     v0 = table.vertices[source_vertex]
+    edges = table.edges()
+    # no reflex vertex: straight angles are allowed
+    convex = all(
+        geom.sign_cross(edges[i - 1].direction(), edges[i].direction()) >= 0 for i in range(n)
+    )
+    reflections = [geom.reflection_across(e) for e in edges]
     records: List[DiagonalRecord] = []
 
-    # node: (placement, word, last edge index, cone, gates, placements chain)
+    # node: (placement, word, entry edge index, sector lo, hi, lo_closed)
     start_placement = geom.identity_isometry(backend)
     queue = deque(
-        (start_placement, (), None, cone, (), (start_placement,))
-        for cone in _initial_cones(table, source_vertex)
+        (start_placement, (), None) + cone for cone in _initial_cones(table, source_vertex)
     )
-    reflections = [geom.reflection_across(table.edge(j)) for j in range(table.n)]
-
     while queue:
-        placement, word, last_edge, cone, gates, chain = queue.popleft()
-        # emit reachable vertex images of this copy
-        for v in table.vertices:
-            target = placement.apply(v)
-            if geom.points_equal(target, v0):
+        placement, word, entry, lo, hi, lo_closed = queue.popleft()
+        images = [placement.apply(v) for v in table.vertices]
+        rays = [u - v0 for u in images]
+        sides = [Segment(images[i], images[(i + 1) % n]) for i in range(n)]
+
+        critical = []
+        for target, d in zip(images, rays):
+            on_lo = lo_closed and geom.sign_cross(lo, d) == 0 and sign(lo.dot(d)) > 0
+            if not (on_lo or _between(lo, hi, d)):
                 continue
-            d = target - v0
-            if sign(d.norm_sq() - limit_sq) > 0:
-                continue
-            if not cone.contains(d):
-                continue
-            if not _crossings_valid(v0, target, gates):
-                continue
-            if _segment_blocked(v0, target, chain, table):
-                continue
-            records.append(
-                DiagonalRecord(word, source_vertex, target, d.norm_sq())
-            )
+            if not convex:
+                hit = _first_exit(v0, d, sides, entry)
+                if hit is None or not geom.points_equal(hit[1].point, target):
+                    continue
+            critical.append(d)
+            length_sq = d.norm_sq()
+            if sign(length_sq - limit_sq) <= 0:
+                records.append(DiagonalRecord(word, source_vertex, target, length_sq))
         if max_word_length is not None and len(word) >= max_word_length:
             continue
-        for j in range(table.n):
-            if j == last_edge:
+        critical.sort(key=cmp_to_key(lambda a, b: geom.sign_cross(b, a)))
+        bounds = [lo] + critical + [hi]
+        for k in range(len(bounds) - 1):
+            a, b = bounds[k], bounds[k + 1]
+            # empty before a critical direction on a closed lower bound
+            if geom.sign_cross(a, b) <= 0:
                 continue
-            gate = placement.apply_segment(table.edge(j))
-            wa = gate.a - v0
-            wb = gate.b - v0
-            if wa.is_zero() or wb.is_zero():
+            mid = Vec2(a.dx + b.dx, a.dy + b.dy)
+            if convex:
+                j = next((j for j in range(n) if j != entry
+                          and _between(rays[j], rays[(j + 1) % n], mid)), None)
+            else:
+                hit = _first_exit(v0, mid, sides, entry)
+                j = None if hit is None else hit[0]
+            # f64 only: inside the tolerance a cell can miss every exit
+            if j is None:
                 continue
-            ori = geom.sign_cross(wa, wb)
-            if ori == 0:
+            if sign(geom.point_segment_distance_sq(v0, sides[j]) - limit_sq) > 0:
                 continue
-            if ori < 0:
-                wa, wb = wb, wa
-            narrowed = _intersect_with_window(cone, wa, wb)
-            if narrowed is None:
-                continue
-            if sign(geom.point_segment_distance_sq(v0, gate) - limit_sq) > 0:
-                continue
-            child = geom.compose(placement, reflections[j])
             queue.append(
                 (
-                    child,
+                    geom.compose(placement, reflections[j]),
                     word + (table.labels[j],),
                     j,
-                    narrowed,
-                    gates + (gate,),
-                    chain + (child,),
+                    a,
+                    b,
+                    k == 0 and lo_closed,
                 )
             )
 

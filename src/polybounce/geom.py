@@ -23,6 +23,7 @@ coordinate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -96,9 +97,14 @@ def as_scalar(value: Scalar, backend: str) -> Scalar:
 def parse_scalar(text: str, backend: str) -> Scalar:
     """Parse the shared numeric grammar: integer, p/q rational, or decimal.
 
-    Decimals are parsed exactly as rationals in exact mode.
+    Decimals are parsed exactly as rationals in exact mode.  A decimal
+    exponent larger in magnitude than Python's default limit on integer
+    digits is rejected before it is expanded, as a longer digit string is.
     """
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > sys.int_info.default_max_str_digits:
+            raise ParseError(f"exponent of number literal {text!r} is too large")
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad number literal {text!r}") from exc

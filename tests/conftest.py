@@ -1,13 +1,18 @@
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 
 from polybounce import geom
-from polybounce.errors import NExceedsBound, NotRational
+from polybounce.analysis import DiagonalRecord
+from polybounce.errors import NExceedsBound, NonPositiveLength, NotRational, UnknownVertex
 from polybounce.flow import RayState, SingularHit, TrajectoryHit, trace, vertex_guard
 from polybounce.geom import (
     CCW,
@@ -15,6 +20,7 @@ from polybounce.geom import (
     EXACT,
     PlanarIsometry,
     Point2,
+    Segment,
     Vec2,
     point,
     ray_segment_hit,
@@ -41,6 +47,7 @@ from polybounce.unfolding import (
 )
 
 TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
+SRC = TABLES.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +58,15 @@ def _reset_float_tolerance():
 
 def exact_points(coords):
     return [point(x, y, EXACT) for x, y in coords]
+
+
+def run_cli_process(argv, timeout):
+    """``python -m polybounce.cli argv`` in a fresh interpreter on this
+    checkout's ``src``, killed after ``timeout`` seconds."""
+    paths = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-m", "polybounce.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def reference_first_hit(origin, d, segments):
@@ -383,3 +399,223 @@ def lshape():
         ["a", "b", "c", "d", "e", "f"],
         "lshape",
     )
+
+# Oracle for analysis.enumerate_generalized_diagonals: the search that
+# narrowed its sectors by the gates of a corridor alone, then re-checked
+# each record by its gate crossings and by every earlier copy's vertices.
+# Exact on convex tables; on nonconvex ones it also reports records that
+# pass through a wall.
+
+
+@dataclass(frozen=True, slots=True)
+class _Cone:
+    """Open/closed angular sector of width < pi, apex at the source vertex."""
+
+    lo: Vec2
+    hi: Vec2
+    lo_closed: bool = False
+    hi_closed: bool = False
+
+    def contains(self, d: Vec2) -> bool:
+        c1 = geom.sign_cross(self.lo, d)
+        if c1 < 0:
+            return False
+        if c1 == 0 and not (self.lo_closed and sign(self.lo.dot(d)) > 0):
+            return False
+        c2 = geom.sign_cross(d, self.hi)
+        if c2 < 0:
+            return False
+        if c2 == 0 and not (self.hi_closed and sign(d.dot(self.hi)) > 0):
+            return False
+        return True
+
+
+def _same_ray(u: Vec2, v: Vec2) -> bool:
+    return geom.sign_cross(u, v) == 0 and sign(u.dot(v)) > 0
+
+
+def _intersect_with_window(cone: _Cone, wa: Vec2, wb: Vec2) -> Optional[_Cone]:
+    """Intersection of the cone with the open window (wa, wb), width < pi."""
+    # candidate bounds are tested against the closures of both sectors
+    window = _Cone(wa, wb, True, True)
+    closed = _Cone(cone.lo, cone.hi, True, True)
+    lo_cands = []
+    if window.contains(cone.lo):
+        lo_cands.append((cone.lo, cone.lo_closed))
+    if closed.contains(wa):
+        if _same_ray(wa, cone.lo):
+            lo_cands.append((cone.lo, False))
+        else:
+            lo_cands.append((wa, False))
+    # node cones are open at hi, so the upper bound is never closed
+    hi_cands = []
+    if window.contains(cone.hi):
+        hi_cands.append(cone.hi)
+    if closed.contains(wb):
+        hi_cands.append(cone.hi if _same_ray(wb, cone.hi) else wb)
+    if not lo_cands or not hi_cands:
+        return None
+    # the most counterclockwise lower bound
+    lo, lo_closed = lo_cands[0]
+    for d, cl in lo_cands[1:]:
+        if _same_ray(d, lo):
+            lo_closed = lo_closed and cl
+        elif geom.sign_cross(lo, d) > 0:
+            lo, lo_closed = d, cl
+    # the most clockwise upper bound
+    hi = hi_cands[0]
+    for d in hi_cands[1:]:
+        if geom.sign_cross(d, hi) > 0:
+            hi = d
+    if geom.sign_cross(lo, hi) > 0:
+        return _Cone(lo, hi, lo_closed)
+    return None
+
+
+def _initial_cones(table: LabeledTable, vertex: int) -> List[_Cone]:
+    """The interior sector at the source vertex, split into sectors < pi."""
+    fwd = table.edge(vertex).direction()
+    back = -table.edge((vertex - 1) % table.n).direction()
+    cones = []
+    lo = fwd
+    lo_closed = False
+    # keep splitting a quarter turn at a time until the remainder is < pi
+    while not geom.sign_cross(lo, back) > 0:
+        mid = lo.perp()
+        cones.append(_Cone(lo, mid, lo_closed, False))
+        lo, lo_closed = mid, True
+    cones.append(_Cone(lo, back, lo_closed, False))
+    return cones
+
+
+def _segment_blocked(
+    v0: Point2, target: Point2, placements: Sequence[geom.PlanarIsometry],
+    table: LabeledTable,
+) -> bool:
+    """Does some developed vertex image lie strictly between v0 and target?"""
+    d = target - v0
+    dd = d.norm_sq()
+    for placement in placements:
+        for v in table.vertices:
+            u = placement.apply(v)
+            if geom.points_equal(u, v0) or geom.points_equal(u, target):
+                continue
+            if geom.orientation(v0, u, target) != geom.COLLINEAR:
+                continue
+            proj = (u - v0).dot(d)
+            if sign(proj) > 0 and sign(proj - dd) < 0:
+                return True
+    return False
+
+
+def _crossings_valid(
+    v0: Point2, target: Point2, gates: Sequence[Segment]
+) -> bool:
+    """The segment v0 -> target must cross every gate interior, in order,
+    at strictly increasing parameters inside (0, 1)."""
+    d = target - v0
+    prev = 0
+    for gate in gates:
+        e = gate.direction()
+        if geom.sign_cross(d, e) == 0:
+            return False
+        denom = d.cross(e)
+        w = gate.a - v0
+        lam = w.cross(e) / denom
+        sigma = w.cross(d) / denom
+        if sign(sigma) <= 0 or sign(sigma - 1) >= 0:
+            return False
+        if sign(lam - prev) <= 0 or sign(lam - 1) >= 0:
+            return False
+        prev = lam
+    return True
+
+
+def reference_enumerate_generalized_diagonals(
+    table: LabeledTable,
+    source_vertex: int,
+    max_length,
+    max_word_length: Optional[int] = None,
+) -> List[DiagonalRecord]:
+    """All generalized diagonals from a vertex, up to a Euclidean length.
+
+    Breadth-first search over the unfolding tree: each node carries the
+    placement of its copy, the gates crossed so far, and the surviving open
+    sector at the source vertex.  Branches die when the sector empties or
+    the next gate is already beyond ``max_length``.  Every emission is
+    validated against the crossing invariant (all gates crossed in order,
+    through their interiors, with no earlier vertex image on the segment).
+    Output is sorted by squared length, then lexicographic word.
+    """
+    if not 0 <= source_vertex < table.n:
+        raise UnknownVertex(f"vertex index {source_vertex} out of range")
+    backend = table.backend
+    max_length = geom.as_scalar(max_length, backend)
+    if sign(max_length) <= 0:
+        raise NonPositiveLength("max_length must be positive")
+    limit_sq = max_length * max_length
+    v0 = table.vertices[source_vertex]
+    records: List[DiagonalRecord] = []
+
+    # node: (placement, word, last edge index, cone, gates, placements chain)
+    start_placement = geom.identity_isometry(backend)
+    queue = deque(
+        (start_placement, (), None, cone, (), (start_placement,))
+        for cone in _initial_cones(table, source_vertex)
+    )
+    reflections = [geom.reflection_across(table.edge(j)) for j in range(table.n)]
+
+    while queue:
+        placement, word, last_edge, cone, gates, chain = queue.popleft()
+        # emit reachable vertex images of this copy
+        for v in table.vertices:
+            target = placement.apply(v)
+            if geom.points_equal(target, v0):
+                continue
+            d = target - v0
+            if sign(d.norm_sq() - limit_sq) > 0:
+                continue
+            if not cone.contains(d):
+                continue
+            if not _crossings_valid(v0, target, gates):
+                continue
+            if _segment_blocked(v0, target, chain, table):
+                continue
+            records.append(
+                DiagonalRecord(word, source_vertex, target, d.norm_sq())
+            )
+        if max_word_length is not None and len(word) >= max_word_length:
+            continue
+        for j in range(table.n):
+            if j == last_edge:
+                continue
+            gate = placement.apply_segment(table.edge(j))
+            wa = gate.a - v0
+            wb = gate.b - v0
+            if wa.is_zero() or wb.is_zero():
+                continue
+            ori = geom.sign_cross(wa, wb)
+            if ori == 0:
+                continue
+            if ori < 0:
+                wa, wb = wb, wa
+            narrowed = _intersect_with_window(cone, wa, wb)
+            if narrowed is None:
+                continue
+            if sign(geom.point_segment_distance_sq(v0, gate) - limit_sq) > 0:
+                continue
+            child = geom.compose(placement, reflections[j])
+            queue.append(
+                (
+                    child,
+                    word + (table.labels[j],),
+                    j,
+                    narrowed,
+                    gates + (gate,),
+                    chain + (child,),
+                )
+            )
+
+    # emitted sectors never overlap, but equal-length records need a fixed order
+    records.sort(key=lambda r: (r.length_sq, r.word))
+    return records

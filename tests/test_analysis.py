@@ -8,6 +8,7 @@ from polybounce.analysis import (
     INDISTINGUISHABLE,
     NON_TRANSLATION,
     SEPARATED,
+    DiagonalRecord,
     compare_spectra,
     enumerate_generalized_diagonals,
     flag_singular_words,
@@ -17,6 +18,7 @@ from polybounce.analysis import (
     sample_states,
     witness_at_offset,
 )
+from polybounce.cli import parse_word
 from polybounce.errors import (
     BilliardError,
     IncompleteBijection,
@@ -28,8 +30,8 @@ from polybounce.errors import (
 )
 from polybounce.flow import bounce_word, trace
 from polybounce.geom import EXACT, Point2
-from polybounce.table import validate_table
-from conftest import exact_points
+from polybounce.table import format_table, validate_table
+from conftest import exact_points, run_cli_process
 
 
 def altitude_feet(a, b, c):
@@ -194,15 +196,30 @@ class TestDiagonals:
         for r in records:
             assert resimulate_diagonal(lshape, r)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: the empty word to (1, 2) leaves the table "
-        "across edge c at (3/2, 1) and is still reported",
-    )
-    def test_lshape_records_stay_inside(self, lshape):
-        records = enumerate_generalized_diagonals(lshape, 1, 3)
-        assert all(resimulate_diagonal(lshape, r) for r in records)
+    @pytest.mark.parametrize("radius", [F(3), F(5), F(23, 4)], ids=str)
+    def test_lshape_records_stay_inside(self, lshape, radius):
+        # a search narrowed by gates alone reported diagonals through a wall,
+        # such as the empty word from vertex 1 to (1, 2) across (3/2, 1)
+        for vertex in range(lshape.n):
+            records = enumerate_generalized_diagonals(lshape, vertex, radius)
+            assert records
+            assert all(resimulate_diagonal(lshape, r) for r in records)
+
+    def test_lshape_uncapped_search_ends(self, lshape, tmp_path):
+        # the word c,a,f,e repeated unfolds to the identity every 8 letters,
+        # so gate-only narrowing never closed that branch at radius 6
+        path = tmp_path / "lshape.table"
+        path.write_text(format_table(lshape), encoding="utf-8")
+        argv = ["diagonals", "--table", str(path), "--vertex", "1", "--max-len", "6"]
+        done = run_cli_process(argv, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        lines = done.stdout.splitlines()
+        assert lines
+        for line in lines:
+            word, length_sq, endpoint = line.split("\t")
+            target = Point2(*(F(c) for c in endpoint.split(",")))
+            record = DiagonalRecord(parse_word(word), 1, target, F(length_sq))
+            assert resimulate_diagonal(lshape, record)
 
     def test_blocked_collinear_target_excluded(self, square):
         records = enumerate_generalized_diagonals(square, 0, 5)
@@ -264,9 +281,6 @@ def brute_force_diagonals(table, source_vertex, max_length, max_depth):
 
     visit(())
     return found
-
-
-from polybounce.analysis import DiagonalRecord  # noqa: E402
 
 
 class TestDiagonalCompleteness:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -7,7 +8,7 @@ from polybounce.cli import format_word, main, parse_word
 from polybounce.flow import RayState, trace
 from polybounce.geom import EXACT, direction, point
 from polybounce.surface import load_glued_polygon
-from conftest import TABLES
+from conftest import TABLES, run_cli_process
 
 SQUARE = str(TABLES / "square.table")
 QUAD = str(TABLES / "quad.table")
@@ -189,6 +190,14 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ParseError") and "Traceback" not in err
 
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    def test_huge_exponent_exit_1_quickly(self, backend):
+        # expanding 10**40000000 first would take minutes
+        done = run_cli_process(["diagonals", "--table", SQUARE, "--vertex", "0",
+                                "--max-len", "1e40000000", "--backend", backend], timeout=20)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: ParseError") and "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("flag", ["--table", "--surface", "--language"])
     def test_not_utf8_exit_1(self, flag, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -217,6 +226,35 @@ class TestEpsFlag:
         assert code == 0 and "singular" not in out
         code, out, _ = run(["bounce", *argv_tail, "--eps", "1e-3"])
         assert code == 0 and "singular" in out
+
+
+# sha256 of ``diagonals`` stdout on every vertex of the shipped tables, at
+# the radii the benchmark draws up to, as the gate-narrowed search printed it
+DIAGONAL_DIGESTS = {
+    ("square", "9", 0): "ce96548708bbb76d4368b6200dd312418f7ced270794e3a9f439db556f066fa6",
+    ("square", "9", 1): "dd7e9f4cf0ec0966af68fccf53b4095ba62981553d292ede7ae2514a3694902d",
+    ("square", "9", 2): "f013778789658fb0f29a19609563a4e74fcbc07d63fe237222dbaeae0b631ddc",
+    ("square", "9", 3): "70d59e5b12643212adac6901a1d6c66e4b0588478542dcee3d05e937a10561bf",
+    ("rect21", "12", 0): "e542cd501f44344f2161887481fffed0d53fc56e538d2c282e2aca17e0afed14",
+    ("rect21", "12", 1): "be0a3d7c4892e8c73fb98a83579de2e61fd466b9f578cb00411a1be96151cff0",
+    ("rect21", "12", 2): "bd1f51c073ba5d990a09ae5be213b81af2b0d1a8a417b2e757b230af5c740b75",
+    ("rect21", "12", 3): "df756ba1f26144a0d7620b3a6c2aadd6c602b0c1eeddb1cce699f0f75d93609a",
+    ("acute", "6", 0): "f28450b9c229cd06f33f8f7a4f49bc04b5a0e51aff14a242e906c19ebf74d801",
+    ("acute", "6", 1): "74db5609265eae5f588c745b127f649fc0d88e4ddc1c91d1b1093d080fd48e32",
+    ("acute", "6", 2): "5ce5aa61d615966a2236897a37a47faf33d0b7dc60fadaf13ef63effe8b8aa52",
+    ("quad", "13/2", 0): "ace6c1460ee760f3b6d537ec13d09ed88f41187556b3c009a3c068cedbf9d609",
+    ("quad", "13/2", 1): "c7ce242d98173db985c012e4681c47dd24ac3e00ea5ced444830a1cbf718b2ac",
+    ("quad", "13/2", 2): "e0a3fbfab93aad7387959a9b71215d447db5b73d3cefc0e97b18de25d37b2380",
+    ("quad", "13/2", 3): "55253ac31c4f6cbacd0b7eaf9f750596ef1cfff37bf1884920a219508d84571b",
+}
+
+
+@pytest.mark.parametrize("name,radius,vertex", sorted(DIAGONAL_DIGESTS), ids=str)
+def test_diagonals_stdout_digest(name, radius, vertex):
+    code, out, err = run(["diagonals", "--table", str(TABLES / f"{name}.table"),
+                          "--vertex", str(vertex), "--max-len", radius])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DIAGONAL_DIGESTS[name, radius, vertex]
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -349,6 +350,15 @@ class TestScalars:
         for text in ("1e400", "-1e400", "10" * 200 + "/3"):
             with pytest.raises(ParseError):
                 geom.parse_scalar(text, F64)
+
+    @pytest.mark.parametrize("backend", [EXACT, F64])
+    def test_parse_rejects_huge_exponent_unexpanded(self, backend):
+        # 10**40000000 alone would take minutes to build, so it comes last
+        limit = sys.int_info.default_max_str_digits
+        assert geom.parse_scalar(f"1e-{limit}", backend) == (F(1, 10**limit) if backend == EXACT else 0.0)
+        for text in (f"-2.5E-{limit + 1}", f"1e{limit + 1}", "1e" + "9" * 5000, "1e40000000", "1e-40000000"):
+            with pytest.raises(ParseError):
+                geom.parse_scalar(text, backend)
 
     def test_format(self):
         assert geom.format_scalar(F(3, 1)) == "3"

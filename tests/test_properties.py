@@ -13,6 +13,7 @@ from conftest import (
     reference_apply,
     reference_apply_vec,
     reference_build_rational_unfolding,
+    reference_enumerate_generalized_diagonals,
     reference_first_hit,
     reference_fly,
     reference_halton,
@@ -324,3 +325,42 @@ def test_rational_unfolding_matches_reference(table):
     assert format_surface(ts) == format_surface(ref)
     for f in dataclasses.fields(ts):
         assert repr(getattr(ts, f.name)) == repr(getattr(ref, f.name)), f.name
+
+
+@st.composite
+def convex_lattice_polygons(draw):
+    """A strictly convex triangle or quadrilateral on the 5 x 5 lattice, its
+    corners in counterclockwise order about their centroid."""
+    small = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    corners = draw(st.lists(small, min_size=3, max_size=4, unique=True))
+    cx = F(sum(x for x, _ in corners), len(corners))
+    cy = F(sum(y for _, y in corners), len(corners))
+    corners.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    exact = [Point2(F(x), F(y)) for x, y in corners]
+    n = len(exact)
+    assume(all(orientation(exact[i - 1], exact[i], exact[(i + 1) % n]) > 0 for i in range(n)))
+    return validate_table(exact, "abcd"[:n])
+
+
+@PROPERTY
+@given(convex_lattice_polygons())
+def test_diagonals_match_reference_on_convex_tables(table):
+    for vertex in range(table.n):
+        got = enumerate_generalized_diagonals(table, vertex, 4)
+        assert repr(got) == repr(reference_enumerate_generalized_diagonals(table, vertex, 4))
+
+
+@PROPERTY
+@given(staircases(), st.data())
+def test_diagonals_keep_every_valid_reference_record_on_staircases(table, data):
+    # the reference also reports records through walls, and its check of
+    # every earlier copy's vertices drops some true diagonals: a vertex image
+    # can sit on the segment where that copy is not the one being crossed
+    vertex = data.draw(st.integers(0, table.n - 1))
+    xmin, ymin, xmax, ymax = table.bounding_box()
+    radius = F(3, 2) * max(xmax - xmin, ymax - ymin)
+    got = enumerate_generalized_diagonals(table, vertex, radius, max_word_length=10)
+    assert all(resimulate_diagonal(table, r) for r in got)
+    reference = reference_enumerate_generalized_diagonals(table, vertex, radius, max_word_length=10)
+    kept = {(r.word, r.target_image) for r in got}
+    assert {(r.word, r.target_image) for r in reference if resimulate_diagonal(table, r)} <= kept
