@@ -8,7 +8,9 @@
 * enumerate_generalized_diagonals: breadth-first search over the unfolding
   tree rooted at a source vertex, one exact sweep per unfolded copy: the
   copy's vertex images split the sector of rays entering it into cells of
-  one exit edge each, so every record is a diagonal by construction.
+  one exit edge each, so every record is a diagonal by construction.  On
+  the exact backend each copy is integer rows over one denominator, so its
+  sector and radius tests are integer products.
 
 * sample_bounce_language / compare_spectra: quasi-random finite-window
   sampling of the bounce spectrum and exact comparison under a label map.
@@ -19,6 +21,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -208,40 +212,88 @@ class DiagonalRecord:
     length_sq: geom.Scalar
 
 
-def _between(u: Vec2, v: Vec2, d: Vec2) -> bool:
-    """Is d strictly inside the sector narrower than pi that u and v bound?"""
-    s = geom.sign_cross(u, v)
-    return s != 0 and geom.sign_cross(u, d) == s and geom.sign_cross(d, v) == s
+def _isometry_rows(iso: geom.PlanarIsometry, scale) -> tuple:
+    """An isometry in the sweep's row form (m00, m01, m10, m11, tx, ty, q):
+    it sends coordinates over ``scale`` to M x + t over q * scale.  Exact
+    entries become integers over their least common denominator q; float
+    entries stay as they are, over q = 1.0."""
+    entries = (iso.m00, iso.m01, iso.m10, iso.m11, iso.tx, iso.ty)
+    if isinstance(iso.m00, float):
+        return entries + (1.0,)
+    q = math.lcm(*(f.denominator for f in entries))
+    m00, m01, m10, m11, tx, ty = (f.numerator * (q // f.denominator) for f in entries)
+    return (m00, m01, m10, m11, tx * scale, ty * scale, q)
 
 
-def _first_exit(v0: Point2, d: Vec2, sides: Sequence[Segment], entry: Optional[int]):
-    """(index, Hit) of the first of a copy's ``sides`` that the ray from v0
-    along d meets after it enters the copy through side ``entry``; the root
-    copy (entry None) is entered at v0."""
-    origin = v0
-    if entry is not None:
-        gate = sides[entry]
-        e = gate.direction()
-        lam = (gate.a - v0).cross(e) / d.cross(e)
-        origin = Point2(v0.x + lam * d.dx, v0.y + lam * d.dy)
-    return geom.first_hit(origin, d, sides)
+def _compose_rows(f: tuple, g: tuple) -> tuple:
+    """f after g, in row form; on floats over q = 1.0 this is
+    ``geom.compose`` operation for operation."""
+    a, b, c, d, e, h, q = f
+    A, B, C, D, E, H, Q = g
+    return (a * A + b * C, a * B + b * D, c * A + d * C, c * B + d * D,
+            a * E + b * H + e * Q, c * E + d * H + h * Q, q * Q)
 
 
-def _initial_cones(table: LabeledTable, vertex: int) -> List[Tuple[Vec2, Vec2, bool]]:
-    """The interior sector at the source vertex, split into sectors < pi:
-    (lo, hi, lo_closed), each open at hi."""
-    fwd = table.edge(vertex).direction()
-    back = -table.edge((vertex - 1) % table.n).direction()
+def _compose_reduced(f: tuple, g: tuple) -> tuple:
+    """``_compose_rows`` on integers, divided by the gcd of its 7 entries."""
+    row = _compose_rows(f, g)
+    k = math.gcd(*row)
+    return row if k == 1 else tuple(x // k for x in row)
+
+
+def _sign_cross_int(u: tuple, v: tuple) -> int:
+    c = u[0] * v[1] - u[1] * v[0]
+    return (c > 0) - (c < 0)
+
+
+def _sign_cross_float(u: tuple, v: tuple) -> int:
+    return geom.sign_cross(Vec2(u[0], u[1]), Vec2(v[0], v[1]))
+
+
+def _initial_cones(fwd: tuple, back: tuple, orient) -> List[tuple]:
+    """The interior sector between the source vertex's edge directions fwd
+    and back, split into sectors < pi: (lo, hi, lo_closed), each open at hi."""
     cones = []
     lo = fwd
     lo_closed = False
     # keep splitting a quarter turn at a time until the remainder is < pi
-    while not geom.sign_cross(lo, back) > 0:
-        mid = lo.perp()
+    while not orient(lo, back) > 0:
+        mid = (-lo[1], lo[0])
         cones.append((lo, mid, lo_closed))
         lo, lo_closed = mid, True
     cones.append((lo, back, lo_closed))
     return cones
+
+
+def _first_exit(v0: Point2, d: tuple, gate, sides, ints, make):
+    """(index, Hit) of the first of a copy's ``sides`` that the ray from v0
+    along d meets after it enters the copy.  ``gate`` is None for the root
+    copy, entered at v0, else (w x e, e, s) for its entry side a + t e, with
+    w = a - v0, e and d all over s."""
+    origin = v0
+    if gate is not None:
+        w_e, (ex, ey), s = gate
+        lam = make(w_e, s * (d[0] * ey - d[1] * ex))
+        origin = Point2(v0.x + lam * d[0], v0.y + lam * d[1])
+    return geom.first_hit(origin, Vec2(d[0], d[1]), sides, ints)
+
+
+def _beyond(px, py, a: tuple, b: tuple, limit, limit_den) -> bool:
+    """Is the closed segment ab farther from (px, py) than the radius?  All
+    points are over one denominator s, and the radius squared is
+    limit / (limit_den * s**2), so each case is one cross-multiplication."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    wx, wy = px - a[0], py - a[1]
+    ee = ex * ex + ey * ey
+    proj = wx * ex + wy * ey
+    if proj <= 0:
+        return sign((wx * wx + wy * wy) * limit_den - limit) > 0
+    if proj >= ee:
+        wx, wy = px - b[0], py - b[1]
+        return sign((wx * wx + wy * wy) * limit_den - limit) > 0
+    c = wx * ey - wy * ex
+    # on floats, zero within the tolerance scaled by ee, as c*c/ee would be
+    return sign(c * c * limit_den - limit * ee, ee) > 0
 
 
 def enumerate_generalized_diagonals(
@@ -268,6 +320,16 @@ def enumerate_generalized_diagonals(
       reads the edge off the edge windows; otherwise one exact
       ``first_hit`` along the cell's middle ray finds it.
 
+    On the exact backend the sweep runs on integers: a placement is six
+    integers over one positive denominator q, the table's coordinates are
+    integers over one denominator D, so a copy's vertex images are integer
+    rows over q * D, and the rays from v0, the sector bounds and the radius
+    tests are integer products.  A child's placement is its parent's after
+    the exit edge's isometry (its mirror), reduced by one gcd.  Fractions
+    are built only for emitted records and for the ``first_hit`` calls of
+    nonconvex copies.  Float tables run the same loop on their floats, over
+    q = 1.0, with the tolerance-aware orientation predicate.
+
     Records are diagonals by construction.  Branches die when the exit edge
     is already beyond ``max_length``.  Output is sorted by squared length,
     then lexicographic word.
@@ -278,7 +340,6 @@ def enumerate_generalized_diagonals(
     max_length = geom.as_scalar(max_length, backend)
     if sign(max_length) <= 0:
         raise NonPositiveLength("max_length must be positive")
-    limit_sq = max_length * max_length
     n = table.n
     v0 = table.vertices[source_vertex]
     edges = table.edges()
@@ -286,64 +347,94 @@ def enumerate_generalized_diagonals(
     convex = all(
         geom.sign_cross(edges[i - 1].direction(), edges[i].direction()) >= 0 for i in range(n)
     )
-    reflections = [geom.reflection_across(e) for e in edges]
+    # the backend chooses the rows and the orientation predicate; the radius
+    # squared is limit * q**2 / (limit_den * s**2) in a copy over s = q * scale
+    if backend == geom.EXACT:
+        scale, edge_rows = geom.edge_integers(edges)
+        coords = [row[:2] for row in edge_rows]
+        make, orient, compose = Fraction, _sign_cross_int, _compose_reduced
+        limit = max_length.numerator ** 2 * scale * scale
+        limit_den = max_length.denominator ** 2
+    else:
+        scale = 1.0
+        coords = [(v.x, v.y) for v in table.vertices]
+        make, orient, compose = operator.truediv, _sign_cross_float, _compose_rows
+        limit, limit_den = max_length * max_length, 1.0
+    # one isometry per exit edge; the child is entered through that edge
+    steps = [_isometry_rows(geom.reflection_across(e), scale) for e in edges]
+    labels = table.labels
+    x0, y0 = coords[source_vertex]
+    (fx, fy), (bx, by) = coords[(source_vertex + 1) % n], coords[source_vertex - 1]
+    cones = _initial_cones((fx - x0, fy - y0), (-(x0 - bx), -(y0 - by)), orient)
     records: List[DiagonalRecord] = []
 
     # node: (placement, word, entry edge index, sector lo, hi, lo_closed)
-    start_placement = geom.identity_isometry(backend)
-    queue = deque(
-        (start_placement, (), None) + cone for cone in _initial_cones(table, source_vertex)
-    )
+    root = _isometry_rows(geom.identity_isometry(backend), scale)
+    queue = deque((root, (), None) + cone for cone in cones)
     while queue:
         placement, word, entry, lo, hi, lo_closed = queue.popleft()
-        images = [placement.apply(v) for v in table.vertices]
-        rays = [u - v0 for u in images]
-        sides = [Segment(images[i], images[(i + 1) % n]) for i in range(n)]
+        m00, m01, m10, m11, tx, ty, q = placement
+        # the copy's vertex images, v0 and the rays from it, all over s
+        s = q * scale
+        ox, oy = q * x0, q * y0
+        images = [(m00 * x + m01 * y + tx, m10 * x + m11 * y + ty) for x, y in coords]
+        rays = [(x - ox, y - oy) for x, y in images]
+        radius = limit * q * q
+        if not convex:
+            points = [Point2(make(x, s), make(y, s)) for x, y in images]
+            sides = [Segment(points[i], points[(i + 1) % n]) for i in range(n)]
+            ints = (s, [(a[0], a[1], b[0] - a[0], b[1] - a[1])
+                        for a, b in zip(images, images[1:] + images[:1])])
+            gate = None
+            if entry is not None:
+                (ax, ay), (bx, by) = images[entry], images[(entry + 1) % n]
+                wx, wy = rays[entry]
+                e = (bx - ax, by - ay)
+                gate = (wx * e[1] - wy * e[0], e, s)
 
+        sector = orient(lo, hi)
         critical = []
-        for target, d in zip(images, rays):
-            on_lo = lo_closed and geom.sign_cross(lo, d) == 0 and sign(lo.dot(d)) > 0
-            if not (on_lo or _between(lo, hi, d)):
+        for i, d in enumerate(rays):
+            c = orient(lo, d)
+            on_lo = lo_closed and c == 0 and sign(lo[0] * d[0] + lo[1] * d[1]) > 0
+            if not (on_lo or (sector != 0 and c == sector and orient(d, hi) == sector)):
                 continue
             if not convex:
-                hit = _first_exit(v0, d, sides, entry)
-                if hit is None or not geom.points_equal(hit[1].point, target):
+                hit = _first_exit(v0, d, gate, sides, ints, make)
+                if hit is None or not geom.points_equal(hit[1].point, points[i]):
                     continue
             critical.append(d)
-            length_sq = d.norm_sq()
-            if sign(length_sq - limit_sq) <= 0:
-                records.append(DiagonalRecord(word, source_vertex, target, length_sq))
+            length_sq = d[0] * d[0] + d[1] * d[1]
+            if sign(length_sq * limit_den - radius) <= 0:
+                x, y = images[i]
+                target = Point2(make(x, s), make(y, s))
+                records.append(DiagonalRecord(word, source_vertex, target, make(length_sq, s * s)))
         if max_word_length is not None and len(word) >= max_word_length:
             continue
-        critical.sort(key=cmp_to_key(lambda a, b: geom.sign_cross(b, a)))
+        critical.sort(key=cmp_to_key(lambda a, b: orient(b, a)))
         bounds = [lo] + critical + [hi]
+        if convex:
+            windows = [orient(rays[j], rays[(j + 1) % n]) for j in range(n)]
         for k in range(len(bounds) - 1):
             a, b = bounds[k], bounds[k + 1]
             # empty before a critical direction on a closed lower bound
-            if geom.sign_cross(a, b) <= 0:
+            if orient(a, b) <= 0:
                 continue
-            mid = Vec2(a.dx + b.dx, a.dy + b.dy)
+            mid = (a[0] + b[0], a[1] + b[1])
             if convex:
-                j = next((j for j in range(n) if j != entry
-                          and _between(rays[j], rays[(j + 1) % n], mid)), None)
+                j = next((j for j in range(n) if j != entry and windows[j] != 0
+                          and orient(rays[j], mid) == windows[j]
+                          and orient(mid, rays[(j + 1) % n]) == windows[j]), None)
             else:
-                hit = _first_exit(v0, mid, sides, entry)
+                hit = _first_exit(v0, mid, gate, sides, ints, make)
                 j = None if hit is None else hit[0]
             # f64 only: inside the tolerance a cell can miss every exit
             if j is None:
                 continue
-            if sign(geom.point_segment_distance_sq(v0, sides[j]) - limit_sq) > 0:
+            if _beyond(ox, oy, images[j], images[(j + 1) % n], radius, limit_den):
                 continue
-            queue.append(
-                (
-                    geom.compose(placement, reflections[j]),
-                    word + (table.labels[j],),
-                    j,
-                    a,
-                    b,
-                    k == 0 and lo_closed,
-                )
-            )
+            queue.append((compose(placement, steps[j]), word + (labels[j],), j,
+                          a, b, k == 0 and lo_closed))
 
     # emitted sectors never overlap, but equal-length records need a fixed order
     records.sort(key=lambda r: (r.length_sq, r.word))

@@ -647,17 +647,3 @@ def compose(f: PlanarIsometry, g: PlanarIsometry) -> PlanarIsometry:
         f.m00 * g.tx + f.m01 * g.ty + f.tx,
         f.m10 * g.tx + f.m11 * g.ty + f.ty,
     )
-
-
-def point_segment_distance_sq(p: Point2, seg: Segment) -> Scalar:
-    """Squared distance from a point to a closed segment (backend-exact)."""
-    e = seg.b - seg.a
-    w = p - seg.a
-    ee = e.norm_sq()
-    proj = w.dot(e)
-    if proj <= 0:
-        return w.norm_sq()
-    if proj >= ee:
-        return (p - seg.b).norm_sq()
-    c = w.cross(e)
-    return c * c / ee

@@ -6,7 +6,8 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from functools import cmp_to_key
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -400,6 +401,21 @@ def lshape():
         "lshape",
     )
 
+def point_segment_distance_sq(p: Point2, seg: Segment):
+    """Squared distance from a point to a closed segment (backend-exact);
+    the references below prune by it, as geom did before the integer sweep."""
+    e = seg.b - seg.a
+    w = p - seg.a
+    ee = e.norm_sq()
+    proj = w.dot(e)
+    if proj <= 0:
+        return w.norm_sq()
+    if proj >= ee:
+        return (p - seg.b).norm_sq()
+    c = w.cross(e)
+    return c * c / ee
+
+
 # Oracle for analysis.enumerate_generalized_diagonals: the search that
 # narrowed its sectors by the gates of a corridor alone, then re-checked
 # each record by its gate crossings and by every earlier copy's vertices.
@@ -602,7 +618,7 @@ def reference_enumerate_generalized_diagonals(
             narrowed = _intersect_with_window(cone, wa, wb)
             if narrowed is None:
                 continue
-            if sign(geom.point_segment_distance_sq(v0, gate) - limit_sq) > 0:
+            if sign(point_segment_distance_sq(v0, gate) - limit_sq) > 0:
                 continue
             child = geom.compose(placement, reflections[j])
             queue.append(
@@ -613,6 +629,153 @@ def reference_enumerate_generalized_diagonals(
                     narrowed,
                     gates + (gate,),
                     chain + (child,),
+                )
+            )
+
+    # emitted sectors never overlap, but equal-length records need a fixed order
+    records.sort(key=lambda r: (r.length_sq, r.word))
+    return records
+
+
+# Oracle for analysis.enumerate_generalized_diagonals: the same sweep on
+# Vec2s, Fractions and PlanarIsometry placements, before the search moved to
+# integer rows.  Its helpers carry a _sweep prefix beside the helpers above.
+
+
+def _sweep_between(u: Vec2, v: Vec2, d: Vec2) -> bool:
+    """Is d strictly inside the sector narrower than pi that u and v bound?"""
+    s = geom.sign_cross(u, v)
+    return s != 0 and geom.sign_cross(u, d) == s and geom.sign_cross(d, v) == s
+
+
+def _sweep_first_exit(v0: Point2, d: Vec2, sides: Sequence[Segment], entry: Optional[int]):
+    """(index, Hit) of the first of a copy's ``sides`` that the ray from v0
+    along d meets after it enters the copy through side ``entry``; the root
+    copy (entry None) is entered at v0."""
+    origin = v0
+    if entry is not None:
+        gate = sides[entry]
+        e = gate.direction()
+        lam = (gate.a - v0).cross(e) / d.cross(e)
+        origin = Point2(v0.x + lam * d.dx, v0.y + lam * d.dy)
+    return geom.first_hit(origin, d, sides)
+
+
+def _sweep_initial_cones(table: LabeledTable, vertex: int) -> List[Tuple[Vec2, Vec2, bool]]:
+    """The interior sector at the source vertex, split into sectors < pi:
+    (lo, hi, lo_closed), each open at hi."""
+    fwd = table.edge(vertex).direction()
+    back = -table.edge((vertex - 1) % table.n).direction()
+    cones = []
+    lo = fwd
+    lo_closed = False
+    # keep splitting a quarter turn at a time until the remainder is < pi
+    while not geom.sign_cross(lo, back) > 0:
+        mid = lo.perp()
+        cones.append((lo, mid, lo_closed))
+        lo, lo_closed = mid, True
+    cones.append((lo, back, lo_closed))
+    return cones
+
+
+def reference_sweep_diagonals(
+    table: LabeledTable,
+    source_vertex: int,
+    max_length,
+    max_word_length: Optional[int] = None,
+) -> List[DiagonalRecord]:
+    """All generalized diagonals from a vertex, up to a Euclidean length.
+
+    Breadth-first search over the unfolding tree.  A node is a copy of the
+    table (its placement and word), the edge it was entered through, and the
+    sector at the source vertex of exactly the rays that enter it: open,
+    narrower than pi, and closed at its lower bound only where the initial
+    split put that bound.  Inside one copy the edge a ray leaves through
+    changes only at the copy's vertex images, so each node is one exact
+    sweep:
+
+    * a vertex image in the sector is a critical direction iff the ray
+      towards it reaches it before any edge of the copy; within
+      ``max_length`` it is a record;
+    * between two consecutive critical directions one exit edge holds, and
+      each such cell is a child, entered through that edge.  A convex copy
+      reads the edge off the edge windows; otherwise one exact
+      ``first_hit`` along the cell's middle ray finds it.
+
+    Records are diagonals by construction.  Branches die when the exit edge
+    is already beyond ``max_length``.  Output is sorted by squared length,
+    then lexicographic word.
+    """
+    if not 0 <= source_vertex < table.n:
+        raise UnknownVertex(f"vertex index {source_vertex} out of range")
+    backend = table.backend
+    max_length = geom.as_scalar(max_length, backend)
+    if sign(max_length) <= 0:
+        raise NonPositiveLength("max_length must be positive")
+    limit_sq = max_length * max_length
+    n = table.n
+    v0 = table.vertices[source_vertex]
+    edges = table.edges()
+    # no reflex vertex: straight angles are allowed
+    convex = all(
+        geom.sign_cross(edges[i - 1].direction(), edges[i].direction()) >= 0 for i in range(n)
+    )
+    reflections = [geom.reflection_across(e) for e in edges]
+    records: List[DiagonalRecord] = []
+
+    # node: (placement, word, entry edge index, sector lo, hi, lo_closed)
+    start_placement = geom.identity_isometry(backend)
+    queue = deque(
+        (start_placement, (), None) + cone for cone in _sweep_initial_cones(table, source_vertex)
+    )
+    while queue:
+        placement, word, entry, lo, hi, lo_closed = queue.popleft()
+        images = [placement.apply(v) for v in table.vertices]
+        rays = [u - v0 for u in images]
+        sides = [Segment(images[i], images[(i + 1) % n]) for i in range(n)]
+
+        critical = []
+        for target, d in zip(images, rays):
+            on_lo = lo_closed and geom.sign_cross(lo, d) == 0 and sign(lo.dot(d)) > 0
+            if not (on_lo or _sweep_between(lo, hi, d)):
+                continue
+            if not convex:
+                hit = _sweep_first_exit(v0, d, sides, entry)
+                if hit is None or not geom.points_equal(hit[1].point, target):
+                    continue
+            critical.append(d)
+            length_sq = d.norm_sq()
+            if sign(length_sq - limit_sq) <= 0:
+                records.append(DiagonalRecord(word, source_vertex, target, length_sq))
+        if max_word_length is not None and len(word) >= max_word_length:
+            continue
+        critical.sort(key=cmp_to_key(lambda a, b: geom.sign_cross(b, a)))
+        bounds = [lo] + critical + [hi]
+        for k in range(len(bounds) - 1):
+            a, b = bounds[k], bounds[k + 1]
+            # empty before a critical direction on a closed lower bound
+            if geom.sign_cross(a, b) <= 0:
+                continue
+            mid = Vec2(a.dx + b.dx, a.dy + b.dy)
+            if convex:
+                j = next((j for j in range(n) if j != entry
+                          and _sweep_between(rays[j], rays[(j + 1) % n], mid)), None)
+            else:
+                hit = _sweep_first_exit(v0, mid, sides, entry)
+                j = None if hit is None else hit[0]
+            # f64 only: inside the tolerance a cell can miss every exit
+            if j is None:
+                continue
+            if sign(point_segment_distance_sq(v0, sides[j]) - limit_sq) > 0:
+                continue
+            queue.append(
+                (
+                    geom.compose(placement, reflections[j]),
+                    word + (table.labels[j],),
+                    j,
+                    a,
+                    b,
+                    k == 0 and lo_closed,
                 )
             )
 

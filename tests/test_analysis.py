@@ -161,6 +161,33 @@ class TestDiagonals:
         got = sorted((r.length_sq, (r.target_image.x, r.target_image.y)) for r in records)
         assert got == lattice
 
+    @staticmethod
+    def visible_points(radius, xstep):
+        """The points (xstep p, q) with p, q >= 1 coprime, within the radius:
+        the lattice points that the origin sees with none in between."""
+        return {
+            (F(xstep * p), F(q))
+            for p in range(1, radius + 1)
+            for q in range(1, radius + 1)
+            if math.gcd(p, q) == 1 and (xstep * p) ** 2 + q * q <= radius * radius
+        }
+
+    @pytest.mark.parametrize("radius,count", [(9, 37), (15, 109), (25, 297)])
+    def test_square_records_are_the_visible_lattice_points(self, square, radius, count):
+        # the unfolded copies tile the plane, so the vertex images are the
+        # integer points, and vertex 0 sees exactly the primitive ones
+        records = enumerate_generalized_diagonals(square, 0, radius)
+        got = [(r.target_image.x, r.target_image.y) for r in records]
+        assert len(got) == count
+        assert set(got) == self.visible_points(radius, 1)
+        assert all(r.length_sq == x * x + y * y for r, (x, y) in zip(records, got))
+
+    def test_rect21_records_are_the_visible_lattice_points(self, rect21):
+        records = enumerate_generalized_diagonals(rect21, 0, 12)
+        got = [(r.target_image.x, r.target_image.y) for r in records]
+        assert len(got) == 33
+        assert set(got) == self.visible_points(12, 2)
+
     def test_corner_diagonal_empty_word(self, square):
         records = enumerate_generalized_diagonals(square, 0, 2)
         empty = [r for r in records if r.word == ()]

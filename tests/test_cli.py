@@ -8,6 +8,7 @@ from polybounce.cli import format_word, main, parse_word
 from polybounce.flow import RayState, trace
 from polybounce.geom import EXACT, direction, point
 from polybounce.surface import load_glued_polygon
+from polybounce.table import format_table
 from conftest import TABLES, run_cli_process
 
 SQUARE = str(TABLES / "square.table")
@@ -255,6 +256,68 @@ def test_diagonals_stdout_digest(name, radius, vertex):
                           "--vertex", str(vertex), "--max-len", radius])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == DIAGONAL_DIGESTS[name, radius, vertex]
+
+
+# The same cases on the f64 backend, and every vertex of the L-shape (the
+# conftest fixture) on the exact one, as the Fraction sweep printed them
+F64_DIAGONAL_DIGESTS = {
+    ("square", "9", 0): "ce96548708bbb76d4368b6200dd312418f7ced270794e3a9f439db556f066fa6",
+    ("square", "9", 1): "dd7e9f4cf0ec0966af68fccf53b4095ba62981553d292ede7ae2514a3694902d",
+    ("square", "9", 2): "f013778789658fb0f29a19609563a4e74fcbc07d63fe237222dbaeae0b631ddc",
+    ("square", "9", 3): "70d59e5b12643212adac6901a1d6c66e4b0588478542dcee3d05e937a10561bf",
+    ("rect21", "12", 0): "e542cd501f44344f2161887481fffed0d53fc56e538d2c282e2aca17e0afed14",
+    ("rect21", "12", 1): "be0a3d7c4892e8c73fb98a83579de2e61fd466b9f578cb00411a1be96151cff0",
+    ("rect21", "12", 2): "bd1f51c073ba5d990a09ae5be213b81af2b0d1a8a417b2e757b230af5c740b75",
+    ("rect21", "12", 3): "df756ba1f26144a0d7620b3a6c2aadd6c602b0c1eeddb1cce699f0f75d93609a",
+    ("acute", "6", 0): "ad737eec78137a7449712fc98e58bfbf8aa4033b412327f276b49d88f9c20fa6",
+    ("acute", "6", 1): "6292f99c9a8ea3fa9bc91ad89a54364fcf27e3b81dedb0ebda6c54ab50814f51",
+    ("acute", "6", 2): "450538bb52e51f0f728ebf2b4d0ad2497bf21d42e430e543e7cba7455f3a30d7",
+    ("quad", "13/2", 0): "5ac05d4eb131f74a73fcf8129a6793f66838073ef8ba9f1b01a35d219c5338fb",
+    ("quad", "13/2", 1): "c3632f4025e92763ec8a720f90dd95663e42e24dd7088875d3117a210a4c10bc",
+    ("quad", "13/2", 2): "1fea285ead81a2279d03e55982c124611c37dde38836629b9e7838c43b661d86",
+    ("quad", "13/2", 3): "ce4424447a6b2baa5c35e16d953f55f1291c7a89f47fcdb28986ae38dd88279a",
+}
+LSHAPE_DIAGONAL_DIGESTS = {
+    ("3", 0): "5b51d79e22ec25c22d86358e1996390964082b06aa76f6372a0e9342a22754ad",
+    ("3", 1): "82a8a37deedcd93d3bd7f31fb6c94fb497bed349c2b025e36db14fffd1753c95",
+    ("3", 2): "06140c8023e394694f7554227403a93b93cd013e7aa2be9c81deba6f7993f76a",
+    ("3", 3): "11d62837a614e29a9deb989c0f4f1c80255d29923f055ecb05b344d46abf0ce4",
+    ("3", 4): "f9338f7ad9a655f0f56871510cfeacf5016fe8dbf7c088a998f1e9f5ba2649c8",
+    ("3", 5): "82a8a37deedcd93d3bd7f31fb6c94fb497bed349c2b025e36db14fffd1753c95",
+    ("5", 0): "adf582b6b99c95ef5549a47fad6fff0bd07f9111bb15f06843fd1495663bb391",
+    ("5", 1): "ae3fd1014df90815bacf3b7dcd33c24de41e28a0cde7257249bdb2786705c999",
+    ("5", 2): "93a440fe0f6d3144e6ac16a4dd602b3ba20ead50a7cbb9aff22a777b0f79e3ad",
+    ("5", 3): "b088d0ff87181826a7b951be4db52da4438dc98d138163d5708797f33c2938b9",
+    ("5", 4): "32e54fa4288d200854a553e8d14e2734736e65a7f3c2d179737106b9585cae30",
+    ("5", 5): "575881e6048ee6fcad00866a549d061c9a75caa7e9d85fac664a27a130cbd63d",
+    ("23/4", 0): "3a277b637f11311943be569f1ed3e75901c53416e6f313bca89032f99c718cc5",
+    ("23/4", 1): "f03a9f1b9ae23d748294993bffb4dab660b4a8a03503c60e78d5ef19c8d836d0",
+    ("23/4", 2): "c558dcc1bfdc4d93153f9ab714946a76b0ea95aa48a895d4b42bcee6d0688b15",
+    ("23/4", 3): "75235c5b4ee47ac2fa5690c9f2921ccab133b50a613e3a4aa6c9daf64642d78a",
+    ("23/4", 4): "69c58d846abfe949c280557f61d571790ca72ca70a18988f6b31ea0214c1e776",
+    ("23/4", 5): "fd93af53d77cf20376fd68f88376ea94ecfd5be420588a1ba25206eae2db1984",
+}
+
+
+@pytest.mark.parametrize("name,radius,vertex", sorted(F64_DIAGONAL_DIGESTS), ids=str)
+def test_f64_diagonals_stdout_digest(name, radius, vertex):
+    code, out, err = run(["diagonals", "--backend", "f64",
+                          "--table", str(TABLES / f"{name}.table"),
+                          "--vertex", str(vertex), "--max-len", radius])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == F64_DIAGONAL_DIGESTS[name, radius, vertex]
+
+
+@pytest.mark.parametrize("radius", ["3", "5", "23/4"])
+def test_lshape_diagonals_stdout_digest(lshape, tmp_path, radius):
+    path = tmp_path / "lshape.table"
+    path.write_text(format_table(lshape), encoding="utf-8")
+    for vertex in range(lshape.n):
+        code, out, err = run(["diagonals", "--table", str(path), "--vertex", str(vertex),
+                              "--max-len", radius])
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == LSHAPE_DIAGONAL_DIGESTS[radius, vertex], vertex
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from conftest import (
     reference_locate_point,
     reference_sample_bounce_language,
     reference_sample_states,
+    reference_sweep_diagonals,
     staircase_table,
 )
 from polybounce import flow, geom, surface
@@ -364,3 +365,20 @@ def test_diagonals_keep_every_valid_reference_record_on_staircases(table, data):
     reference = reference_enumerate_generalized_diagonals(table, vertex, radius, max_word_length=10)
     kept = {(r.word, r.target_image) for r in got}
     assert {(r.word, r.target_image) for r in reference if resimulate_diagonal(table, r)} <= kept
+
+
+@PROPERTY
+@given(st.one_of(convex_lattice_polygons(), staircases()), st.sampled_from([None, 3]),
+       st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+def test_diagonals_match_reference_sweep_on_both_backends(table, max_word_length, k):
+    # the integer sweep against the Fraction one it replaced, record for
+    # record; the f64 copy of the table pins the float path to the same floats.
+    # Scaling by k puts the coordinates over a denominator other than 1.
+    table = validate_table([Point2(v.x * k, v.y * k) for v in table.vertices], table.labels)
+    xmin, ymin, xmax, ymax = table.bounding_box()
+    radius = max(xmax - xmin, ymax - ymin)
+    f64 = validate_table([Point2(float(v.x), float(v.y)) for v in table.vertices], table.labels)
+    for t, r in ((table, radius), (f64, float(radius))):
+        for vertex in range(t.n):
+            got = enumerate_generalized_diagonals(t, vertex, r, max_word_length)
+            assert repr(got) == repr(reference_sweep_diagonals(t, vertex, r, max_word_length))
